@@ -25,6 +25,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"ddio/internal/exp"
@@ -196,13 +197,17 @@ func main() {
 		}
 	}
 	r := t.Results[0]
+	what := cfg.Pattern // a workload run ignores -pattern
+	if wl.Enabled() {
+		what = strings.TrimSpace("workload " + wl.Name)
+	}
 	fmt.Printf("%s %s on %s layout: %.2f MB/s (cv %.3f over %d trials)\n",
-		cfg.Method, cfg.Pattern, cfg.Layout, t.Mean, t.CV, len(t.Results))
+		cfg.Method, what, cfg.Layout, t.Mean, t.CV, len(t.Results))
 	if wl.Enabled() {
 		fmt.Printf("  workload: %s\n", wl.Summary())
 	}
-	fmt.Printf("  elapsed %v, %d MiB moved, hardware ceiling %.1f MB/s\n",
-		r.Elapsed.Round(10*time.Microsecond), r.MovedBytes/exp.MiB, cfg.MaxBandwidthMBps())
+	fmt.Printf("  elapsed %v, %.4g MiB moved, hardware ceiling %.1f MB/s\n",
+		r.Elapsed.Round(10*time.Microsecond), float64(r.MovedBytes)/exp.MiB, cfg.MaxBandwidthMBps())
 	if *verbose {
 		fmt.Printf("  disk: %d reads, %d writes, %d ra-hits, %d streamed, %d seeks (%d cyls)\n",
 			r.Disk.Reads, r.Disk.Writes, r.Disk.CacheHits, r.Disk.CacheStream, r.Disk.Seeks, r.Disk.SeekCylinders)
@@ -221,6 +226,12 @@ func main() {
 				f.DiskErrors, f.Retries, f.Recovered, f.Exhausted, f.DroppedMsgs, f.Resends, f.Spikes)
 		}
 		fmt.Printf("  %d simulation events\n", r.Events)
+		if cfg.Verify {
+			fmt.Printf("  verify: %d errors\n", r.VerifyErrors)
+			if r.FirstBad != nil {
+				fmt.Printf("  first bad range: %v\n", r.FirstBad)
+			}
+		}
 	}
 
 	if rec != nil {
@@ -260,6 +271,11 @@ func main() {
 		}
 		fmt.Printf("  trace: %d events, mean disk utilization %.0f%%\n",
 			rec.Len(), rec.MeanDiskUtilization(0)*100)
+	}
+	// The runner already failed untraced runs; a traced run keeps its
+	// artifacts for diagnosis and then fails the same way.
+	if r.VerifyErrors > 0 {
+		fatal(fmt.Errorf("%d verification errors; first: %v", r.VerifyErrors, r.FirstBad))
 	}
 }
 

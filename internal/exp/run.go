@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"ddio/internal/bus"
@@ -75,7 +76,70 @@ type Result struct {
 	// whole-file runs, which have no per-request arrivals to time.
 	ReqLatency stats.Summary
 
-	VerifyErrors int // blocks/chunks that failed end-to-end verification
+	VerifyErrors int            // blocks/chunks that failed end-to-end verification
+	FirstBad     *VerifyFailure // the first of them; nil when VerifyErrors is 0
+}
+
+// VerifyFailure names the first range that failed end-to-end
+// verification: whose data it was, where it lies in the file, and the
+// first byte that differs from the file image.
+type VerifyFailure struct {
+	Phase   int   // workload phase; -1 for classic runs
+	Request int   // index in the CP's request stream; -1 for collective chunks
+	CP      int   // compute processor that read or wrote the range; -1 if none did
+	Write   bool  // checked on disk after a write, not in CP memory after a read
+	FileOff int64 // the range: [FileOff, FileOff+Len)
+	Len     int64
+	Index   int64 // first bad byte, relative to FileOff
+	Block   int64 // file block holding the first bad byte
+	Want    byte  // the image byte
+	Got     byte  // the byte found
+}
+
+// String formats the failure for error messages and ddiosim -v.
+func (v *VerifyFailure) String() string {
+	var b strings.Builder
+	if v.Phase >= 0 {
+		fmt.Fprintf(&b, "phase %d ", v.Phase)
+	}
+	fmt.Fprintf(&b, "cp %d ", v.CP)
+	if v.Request >= 0 {
+		fmt.Fprintf(&b, "request %d ", v.Request)
+	}
+	op := "read"
+	if v.Write {
+		op = "write"
+	}
+	fmt.Fprintf(&b, "%s [%d, %d): byte %d (file offset %d, block %d) is %#02x, want %#02x",
+		op, v.FileOff, v.FileOff+v.Len, v.Index, v.FileOff+v.Index, v.Block, v.Got, v.Want)
+	return b.String()
+}
+
+// verifier counts verification failures and keeps the first.
+type verifier struct {
+	blockSize int64
+	errs      int
+	first     *VerifyFailure
+}
+
+// check compares data with the file image at off. A mismatch counts one
+// error; the first is recorded, identified by whose (Phase, Request, CP,
+// Write).
+func (v *verifier) check(data []byte, off int64, whose VerifyFailure) {
+	i := pfs.VerifyImage(data, off)
+	if i < 0 {
+		return
+	}
+	v.errs++
+	if v.first != nil {
+		return
+	}
+	bad := off + int64(i)
+	fail := whose // a copy, so only a failing call allocates
+	fail.FileOff, fail.Len, fail.Index = off, int64(len(data)), int64(i)
+	fail.Block = bad / v.blockSize
+	fail.Want, fail.Got = pfs.ByteAt(bad), data[i]
+	v.first = &fail
 }
 
 // cpNames are the per-CP proc names for the machine widths the presets
@@ -339,7 +403,7 @@ func Run(cfg Config) (*Result, error) {
 	r.AggMBps = float64(r.MovedBytes) / sec / MiB
 
 	if cfg.Verify {
-		r.VerifyErrors = verify(cfg, pat, dec, f, m)
+		r.VerifyErrors, r.FirstBad = verify(cfg, pat, dec, f, m)
 	}
 
 	if collectTC != nil {
@@ -354,27 +418,40 @@ func Run(cfg Config) (*Result, error) {
 
 // verify checks every byte that should have moved. Reads: each CP's
 // buffer must hold the image of its chunks. Writes: the file read back
-// from the disks must equal the image.
-func verify(cfg Config, pat hpf.Pattern, dec *hpf.Decomp, f *pfs.File, m *cluster.Machine) int {
-	errs := 0
+// from the disks must equal the image, block by block; the first bad
+// block is reported as the CP chunk that wrote its first bad byte.
+func verify(cfg Config, pat hpf.Pattern, dec *hpf.Decomp, f *pfs.File, m *cluster.Machine) (int, *VerifyFailure) {
+	v := verifier{blockSize: int64(cfg.BlockSize)}
 	if pat.Write {
 		data := f.ReadBack()
 		for off := 0; off < len(data); off += cfg.BlockSize {
-			endOff := off + cfg.BlockSize
-			if pfs.VerifyImage(data[off:endOff], int64(off)) >= 0 {
-				errs++
-			}
+			v.check(data[off:off+cfg.BlockSize], int64(off), VerifyFailure{Phase: -1, Request: -1, CP: -1, Write: true})
 		}
-		return errs
+		if v.first != nil {
+			attributeWrite(v.first, dec, len(m.CPs))
+		}
+		return v.errs, v.first
 	}
 	for cp, node := range m.CPs {
 		for _, ch := range dec.Chunks(cp) {
-			if pfs.VerifyImage(node.Mem[ch.MemOff:ch.MemOff+ch.Len], ch.FileOff) >= 0 {
-				errs++
+			v.check(node.Mem[ch.MemOff:ch.MemOff+ch.Len], ch.FileOff, VerifyFailure{Phase: -1, Request: -1, CP: cp})
+		}
+	}
+	return v.errs, v.first
+}
+
+// attributeWrite narrows a failed block to the CP chunk that wrote its
+// first bad byte. A byte no chunk covers keeps the block as its range.
+func attributeWrite(fail *VerifyFailure, dec *hpf.Decomp, ncp int) {
+	bad := fail.FileOff + fail.Index
+	for cp := 0; cp < ncp; cp++ {
+		for _, ch := range dec.Chunks(cp) {
+			if ch.FileOff <= bad && bad < ch.FileOff+ch.Len {
+				fail.CP, fail.FileOff, fail.Len, fail.Index = cp, ch.FileOff, ch.Len, bad-ch.FileOff
+				return
 			}
 		}
 	}
-	return errs
 }
 
 // TracedRun executes one experiment with a fresh event-trace recorder

@@ -195,8 +195,8 @@ func (r *Runner) runOne(cfgs []Config, i int, results []*Result, errs []error, o
 		err = &FaultLossError{Method: cfgs[i].Method, Pattern: cfgs[i].Pattern, Seed: cfgs[i].Seed,
 			Lost: res.Faults.Exhausted, VerifyErrors: res.VerifyErrors}
 	case res.VerifyErrors > 0:
-		err = fmt.Errorf("exp: %v/%s seed %d: %d verification errors",
-			cfgs[i].Method, cfgs[i].Pattern, cfgs[i].Seed, res.VerifyErrors)
+		err = fmt.Errorf("exp: %v/%s seed %d: %d verification errors; first: %v",
+			cfgs[i].Method, cfgs[i].Pattern, cfgs[i].Seed, res.VerifyErrors, res.FirstBad)
 	}
 	results[i], errs[i] = res, err
 	if err == nil && onDone != nil {

@@ -292,7 +292,7 @@ func runWorkload(cfg Config) (*Result, error) {
 	r.ReqLatency = latRec.RequestLatencies()
 
 	if cfg.Verify {
-		r.VerifyErrors = verifyWorkload(res, appBase, f, m)
+		r.VerifyErrors, r.FirstBad = verifyWorkload(res, appBase, f, m)
 	}
 	if collectTC != nil {
 		collectTC(r)
@@ -369,8 +369,8 @@ func fillWrites(ph *workload.ResolvedPhase, base []int64, cps []*cluster.Node) {
 // verifyWorkload checks every byte the workload moved: read buffers
 // against the file image, written file ranges against the disks' final
 // contents.
-func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *cluster.Machine) int {
-	errs := 0
+func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *cluster.Machine) (int, *VerifyFailure) {
+	v := verifier{blockSize: int64(f.BlockSize)}
 	var readBack []byte
 	for i := range res.Phases {
 		ph := &res.Phases[i]
@@ -382,9 +382,8 @@ func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *c
 				}
 				for cp := 0; cp < len(m.CPs); cp++ {
 					for _, ch := range ph.Dec.Chunks(cp) {
-						if pfs.VerifyImage(readBack[ch.FileOff:ch.FileOff+ch.Len], ch.FileOff) >= 0 {
-							errs++
-						}
+						v.check(readBack[ch.FileOff:ch.FileOff+ch.Len], ch.FileOff,
+							VerifyFailure{Phase: i, Request: -1, CP: cp, Write: true})
 					}
 				}
 				continue
@@ -392,30 +391,25 @@ func verifyWorkload(res *workload.Resolved, appBase [][]int64, f *pfs.File, m *c
 			for cp, node := range m.CPs {
 				for _, ch := range ph.Dec.Chunks(cp) {
 					off := base[cp] + ch.MemOff
-					if pfs.VerifyImage(node.Mem[off:off+ch.Len], ch.FileOff) >= 0 {
-						errs++
-					}
+					v.check(node.Mem[off:off+ch.Len], ch.FileOff, VerifyFailure{Phase: i, Request: -1, CP: cp})
 				}
 			}
 			continue
 		}
 		for cp, node := range m.CPs {
-			for _, rq := range ph.Streams[cp] {
+			for k, rq := range ph.Streams[cp] {
+				whose := VerifyFailure{Phase: i, Request: k, CP: cp, Write: rq.Write}
 				if rq.Write {
 					if readBack == nil {
 						readBack = f.ReadBack()
 					}
-					if pfs.VerifyImage(readBack[rq.FileOff:rq.FileOff+rq.Len], rq.FileOff) >= 0 {
-						errs++
-					}
+					v.check(readBack[rq.FileOff:rq.FileOff+rq.Len], rq.FileOff, whose)
 					continue
 				}
 				off := base[cp] + rq.MemOff
-				if pfs.VerifyImage(node.Mem[off:off+rq.Len], rq.FileOff) >= 0 {
-					errs++
-				}
+				v.check(node.Mem[off:off+rq.Len], rq.FileOff, whose)
 			}
 		}
 	}
-	return errs
+	return v.errs, v.first
 }

@@ -3,6 +3,15 @@
 // disks (paper §4: "Files were striped across all disks, block by
 // block"), with the physical placement of each disk's blocks governed by
 // a layout policy — contiguous or random-blocks (§5).
+//
+// The file image is the content every experiment writes and verifies:
+// byte off of the file is ByteAt(off). Image, FillImage, BlockImage,
+// VerifyImage and File.Preload serve it from one process-wide table of
+// ByteAt values, so filling is a copy and verifying a bytes.Equal. The
+// table is immutable once published (views stay valid and concurrent
+// readers take no lock), grows to the largest offset any caller has
+// asked for, and costs at most one file's size plus one 64 KiB segment
+// per process.
 package pfs
 
 import (
@@ -138,18 +147,23 @@ func (f *File) LocalBlocks(d int) []int {
 // Preload writes the deterministic file image to the disks directly,
 // without simulating any I/O time, to set up read experiments.
 func (f *File) Preload() {
+	buf := make([]byte, f.BlockSize) // WriteData copies, so one buffer serves every block
 	for b := 0; b < f.NumBlocks; b++ {
-		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), BlockImage(b, f.BlockSize))
+		FillImage(buf, int64(b)*int64(f.BlockSize))
+		f.Disks[f.DiskOf(b)].WriteData(f.LBN(b), buf)
 	}
 }
 
 // ReadBack assembles the file's current content from the disks (no
-// simulated time), for write verification.
+// simulated time), for write verification. Each block's transfer buffer
+// goes back to its disk's free list once copied out.
 func (f *File) ReadBack() []byte {
 	out := make([]byte, f.Size())
 	for b := 0; b < f.NumBlocks; b++ {
-		data := f.Disks[f.DiskOf(b)].ReadData(f.LBN(b), f.sectorsPerBlock)
+		d := f.Disks[f.DiskOf(b)]
+		data := d.ReadData(f.LBN(b), f.sectorsPerBlock)
 		copy(out[b*f.BlockSize:], data)
+		d.Recycle(data)
 	}
 	return out
 }

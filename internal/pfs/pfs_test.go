@@ -117,6 +117,25 @@ func TestPreloadReadBackRoundTrip(t *testing.T) {
 	}
 }
 
+// ReadBack hands each block's transfer buffer back to its disk, so after
+// the first block on a disk every read reuses a buffer.
+func TestReadBackRecyclesTransferBuffers(t *testing.T) {
+	disks := newDisks(t, 4)
+	f, _ := NewFile(disks, 8192, 20, Contiguous, sim.NewRand(5))
+	f.Preload()
+	before := make([]int64, len(disks))
+	for d, dk := range disks {
+		_, before[d] = dk.PoolStats()
+	}
+	f.ReadBack()
+	for d, dk := range disks {
+		_, after := dk.PoolStats()
+		if got, want := after-before[d], int64(f.blocksOnDisk(d)-1); got != want {
+			t.Errorf("disk %d: %d reused buffers during ReadBack, want %d", d, got, want)
+		}
+	}
+}
+
 func TestNewFileErrors(t *testing.T) {
 	if _, err := NewFile(nil, 8192, 4, Contiguous, sim.NewRand(1)); err == nil {
 		t.Error("no disks accepted")
