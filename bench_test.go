@@ -314,3 +314,24 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		b.ReportMetric(float64(res.Events), "events/op")
 	}
 }
+
+// BenchmarkSimulatorDeepQueue is the deep-queue counterpart of
+// BenchmarkSimulatorEventRate: disk-directed I/O writing 8-byte records
+// cyclically keeps ~11.8k events pending on average (32,040 at peak),
+// where BenchmarkSimulatorEventRate never exceeds 48, so its event count
+// guards the event heap's ordering where the heap is deep.
+func BenchmarkSimulatorDeepQueue(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		cfg := ddio.DefaultConfig()
+		cfg.FileBytes = ddio.MiB / 2
+		cfg.Method = ddio.DiskDirected
+		cfg.Pattern = "wc"
+		cfg.RecordSize = 8
+		cfg.Verify = false
+		res, err := ddio.Run(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Events), "events/op")
+	}
+}

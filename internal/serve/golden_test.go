@@ -147,6 +147,51 @@ func TestServedWorkloadRun(t *testing.T) {
 	}
 }
 
+// TestVerifyFailureCounter pins ddiosimd_verify_failures_total on the
+// real simulator. The run is ROADMAP defect (a), a mixed read/write
+// workload under traditional caching whose reads hit unfilled partial-
+// write frames: it is served normally, reports its verification errors,
+// and counts once. The same workload under disk-directed I/O verifies
+// clean and does not count. Once defect (a) is fixed, the TC run needs
+// replacing with another reproduction that still fails verification.
+func TestVerifyFailureCounter(t *testing.T) {
+	s := New(Config{QueueDepth: 2, Concurrency: 1})
+	run := func(method string) RunSummary {
+		t.Helper()
+		body := `{"method":"` + method + `","pattern":"ra","cps":1,"iops":2,"disks":2,"filemb":1,"seed":1,
+			"workload":{"name":"p","phases":[{"pattern":"uniform","requests":64,"record_sizes":[1000],"read_fraction":0.5}]}}`
+		rr := do(t, s, "POST", "/v1/runs", body)
+		if rr.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", method, rr.Code, rr.Body.String())
+		}
+		var sum RunSummary
+		if err := json.Unmarshal(rr.Body.Bytes(), &sum); err != nil {
+			t.Fatal(err)
+		}
+		return sum
+	}
+	failures := func() (int64, string) {
+		var st Stats
+		if err := json.Unmarshal(do(t, s, "GET", "/v1/stats", "").Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.VerifyFailures, do(t, s, "GET", "/metrics", "").Body.String()
+	}
+
+	if sum := run("tc"); sum.VerifyErrors == 0 {
+		t.Fatalf("defect (a) workload verified clean under TC: %+v", sum)
+	}
+	if n, m := failures(); n != 1 || !strings.Contains(m, "ddiosimd_verify_failures_total 1\n") {
+		t.Fatalf("after the failing run: stats verify_failures %d, metrics:\n%s", n, m)
+	}
+	if sum := run("ddio"); sum.VerifyErrors != 0 {
+		t.Fatalf("DDIO run failed verification: %+v", sum)
+	}
+	if n, m := failures(); n != 1 || !strings.Contains(m, "ddiosimd_verify_failures_total 1\n") {
+		t.Fatalf("a passing run moved the counter: stats verify_failures %d, metrics:\n%s", n, m)
+	}
+}
+
 // TestServedTraceHTMLMatchesViewer pins the served trace viewer: POST
 // /v1/runs?trace=html returns bytes identical to what ddiosim
 // -tracehtml writes for the same configuration (exp.TracedRun +

@@ -111,6 +111,7 @@ type Server struct {
 	admitted       atomic.Int64
 	rejected       atomic.Int64
 	cellsSimulated atomic.Int64
+	verifyFailures atomic.Int64 // simulated cells/runs with VerifyErrors > 0
 	flightShared   atomic.Int64
 }
 
@@ -220,8 +221,9 @@ func (s *Server) cachedRunCell(hits *atomic.Int64) func(exp.Config) (*exp.Result
 		if cfg.Trace != nil {
 			// A traced run's product is its recorder, which belongs to
 			// exactly one run: never cached, never deduplicated.
-			s.cellsSimulated.Add(1)
-			return s.runCell(cfg)
+			res, err := s.runCell(cfg)
+			s.simulated(res)
+			return res, err
 		}
 		key := exp.CellKey(cfg)
 		if res, ok := s.cache.Get(key); ok {
@@ -237,7 +239,7 @@ func (s *Server) cachedRunCell(hits *atomic.Int64) func(exp.Config) (*exp.Result
 			}
 			res, err := s.runCell(cfg)
 			if err == nil {
-				s.cellsSimulated.Add(1)
+				s.simulated(res)
 				s.cache.Add(key, res)
 			}
 			return res, err
@@ -246,6 +248,16 @@ func (s *Server) cachedRunCell(hits *atomic.Int64) func(exp.Config) (*exp.Result
 			s.flightShared.Add(1)
 		}
 		return res, err
+	}
+}
+
+// simulated counts one executed simulation and, when its end-to-end
+// verification failed, one verification failure. res may be nil (the
+// run errored before producing a result).
+func (s *Server) simulated(res *exp.Result) {
+	s.cellsSimulated.Add(1)
+	if res != nil && res.VerifyErrors > 0 {
+		s.verifyFailures.Add(1)
 	}
 }
 
@@ -476,7 +488,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 
 	if traceFmt != "" {
 		res, rec, err := exp.TracedRun(cfg)
-		s.cellsSimulated.Add(1)
+		s.simulated(res)
 		release()
 		if err != nil {
 			j.finish(nil, "", 1, 0, err)
@@ -566,6 +578,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 type Stats struct {
 	Cache          cacheStats `json:"cache"`
 	CellsSimulated int64      `json:"cells_simulated"`
+	VerifyFailures int64      `json:"verify_failures"`
 	FlightShared   int64      `json:"singleflight_shared"`
 	JobsAdmitted   int64      `json:"jobs_admitted"`
 	JobsRejected   int64      `json:"jobs_rejected"`
@@ -580,6 +593,7 @@ func (s *Server) StatsSnapshot() Stats {
 	return Stats{
 		Cache:          s.cache.Stats(),
 		CellsSimulated: s.cellsSimulated.Load(),
+		VerifyFailures: s.verifyFailures.Load(),
 		FlightShared:   s.flightShared.Load(),
 		JobsAdmitted:   s.admitted.Load(),
 		JobsRejected:   s.rejected.Load(),
@@ -604,6 +618,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "ddiosimd_cache_entries %d\n", st.Cache.Entries)
 	fmt.Fprintf(&b, "ddiosimd_cache_capacity %d\n", st.Cache.Capacity)
 	fmt.Fprintf(&b, "ddiosimd_cells_simulated_total %d\n", st.CellsSimulated)
+	fmt.Fprintf(&b, "ddiosimd_verify_failures_total %d\n", st.VerifyFailures)
 	fmt.Fprintf(&b, "ddiosimd_singleflight_shared_total %d\n", st.FlightShared)
 	fmt.Fprintf(&b, "ddiosimd_jobs_admitted_total %d\n", st.JobsAdmitted)
 	fmt.Fprintf(&b, "ddiosimd_jobs_rejected_total %d\n", st.JobsRejected)

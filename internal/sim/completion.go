@@ -61,8 +61,7 @@ func (e *Engine) AtCompletion(t Time, c Completion) {
 	if t < e.now {
 		panic("sim: completion scheduled in the past, by " + e.curName())
 	}
-	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, tgt: c.Target, gen: c.Gen, kind: c.Kind, arg: c.Arg})
+	e.schedule(t, event{tgt: c.Target, gen: c.Gen, kind: c.Kind, arg: c.Arg})
 }
 
 // CompletionFunc adapts a plain function to CompletionTarget for

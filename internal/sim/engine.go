@@ -46,8 +46,9 @@ func (t Time) Add(d time.Duration) Time {
 // String formats t as a duration since time zero (e.g. "1.5ms").
 func (t Time) String() string { return time.Duration(t).String() }
 
-// event is a single scheduled callback, proc-dispatch token, or
-// completion token.
+// event is the payload of a single scheduled callback, proc-dispatch
+// token, or completion token. Its time and FIFO sequence number live in
+// the event heap's key (queue.go).
 //
 // A callback event carries fn. A proc dispatch token instead carries
 // (p, gen): when it fires, p is dispatched only if its generation still
@@ -58,8 +59,6 @@ func (t Time) String() string { return time.Duration(t).String() }
 // (see completion.go). Tokens need no closure, which is what lets
 // sleeps, wakes, spawns, and message completions run allocation-free.
 type event struct {
-	t    Time
-	seq  int64 // FIFO tie-break for events at the same instant
 	fn   func()
 	p    *Proc            // non-nil: dispatch token for p...
 	gen  uint64           // ...valid while p.gen (or the target's gen) equals this
@@ -81,8 +80,8 @@ type event struct {
 // (one operation per handoff instead of two).
 type Engine struct {
 	now      Time
-	queue    evq
-	seq      int64
+	queue    eventHeap
+	seq      int64           // FIFO tie-break for events at the same instant
 	xfer     *Proc           // proc to hand the token to after the current event
 	cur      *Proc           // proc currently executing (nil in event context)
 	rootWake chan struct{}   // returns the token to the Run caller when the loop ends
@@ -95,17 +94,10 @@ type Engine struct {
 	rec      *trace.Recorder // nil unless event tracing is attached
 }
 
-// NewEngine returns a new engine with the clock at zero, no pending
-// events, and the default (adaptive hybrid) event queue: a binary heap
-// while few events are pending, the calendar queue once the set grows.
-func NewEngine() *Engine { return NewEngineWithQueue(HybridQueue) }
-
-// NewEngineWithQueue returns a new engine using the given event-queue
-// implementation. All kinds fire identical workloads in identical order;
-// the switch exists for A/B benchmarking.
-func NewEngineWithQueue(k QueueKind) *Engine {
+// NewEngine returns a new engine with the clock at zero and no pending
+// events.
+func NewEngine() *Engine {
 	return &Engine{
-		queue:    newQueue(k),
 		rootWake: make(chan struct{}),
 		procs:    make(map[*Proc]struct{}),
 	}
@@ -141,8 +133,13 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (now=%v, t=%v, by %s)", e.now, t, e.curName()))
 	}
+	e.schedule(t, event{fn: fn})
+}
+
+// schedule queues ev at t behind every event already queued for t.
+func (e *Engine) schedule(t Time, ev event) {
 	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, fn: fn})
+	e.queue.push(t, e.seq, ev)
 }
 
 // curName describes who is executing right now, for panic diagnostics:
@@ -163,8 +160,8 @@ func (e *Engine) After(d time.Duration, fn func()) {
 }
 
 // atProc schedules a dispatch token for p at absolute time t, tagged with
-// p's current generation. Allocation-free: the token is three words in
-// the event queue, no closure.
+// p's current generation. Allocation-free: the token is two words in
+// the event slab, no closure.
 func (e *Engine) atProc(t Time, p *Proc) {
 	if e.closed {
 		return
@@ -172,8 +169,7 @@ func (e *Engine) atProc(t Time, p *Proc) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled in the past (now=%v, t=%v, proc=%s, by %s)", e.now, t, p.name, e.curName()))
 	}
-	e.seq++
-	e.queue.push(event{t: t, seq: e.seq, p: p, gen: p.gen})
+	e.schedule(t, event{p: p, gen: p.gen})
 }
 
 // Run executes events in timestamp order until no events remain. Procs
@@ -232,12 +228,11 @@ const (
 // intervenes.
 func (e *Engine) loop(owner *Proc) tokenState {
 	for e.queue.len() > 0 {
-		ev := e.queue.pop()
-		if !e.cond(ev.t) {
-			e.queue.push(ev) // same seq: original FIFO position is kept
+		if !e.cond(e.queue.min()) {
 			return tokenDrained
 		}
-		e.now = ev.t
+		t, ev := e.queue.pop()
+		e.now = t
 		e.events++
 		if ev.p != nil {
 			// Dispatch token: valid only while the generation matches. A
@@ -252,7 +247,7 @@ func (e *Engine) loop(owner *Proc) tokenState {
 			// pooled target checks ev.gen against its current
 			// incarnation inside Complete (the engine cannot, since
 			// target generations live in the target).
-			ev.tgt.Complete(Completion{Target: ev.tgt, Gen: ev.gen, Kind: ev.kind, Arg: ev.arg}, ev.t)
+			ev.tgt.Complete(Completion{Target: ev.tgt, Gen: ev.gen, Kind: ev.kind, Arg: ev.arg}, t)
 		} else {
 			ev.fn()
 		}

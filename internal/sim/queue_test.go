@@ -1,260 +1,283 @@
 package sim
 
 import (
+	"flag"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
 
-// popAll drains q and returns the (t, seq) sequence.
-func popAll(q evq) []event {
-	var out []event
-	for q.len() > 0 {
-		out = append(out, q.pop())
-	}
-	return out
+// sortOracle is the reference priority queue: a slice kept sorted by
+// (t, seq), popped from the front.
+type sortOracle []heapKey
+
+func (o *sortOracle) push(k heapKey) {
+	s := *o
+	i := sort.Search(len(s), func(i int) bool { return k.less(s[i]) })
+	s = append(s, heapKey{})
+	copy(s[i+1:], s[i:])
+	s[i] = k
+	*o = s
 }
 
-// TestQueueEquivalenceRandom is the property that pins the calendar queue
-// and the adaptive hybrid to the heap: on randomized interleavings of
-// pushes and pops — with bursts that force ring resizes (and drive the
-// hybrid across both migration thresholds), same-instant ties that
-// exercise the FIFO seq ordering, and far-future events that land in the
-// overflow heap — all implementations produce the identical firing
-// sequence, event for event.
-func TestQueueEquivalenceRandom(t *testing.T) {
-	// Time deltas mix zero (FIFO ties), small (same bucket), medium
-	// (ring laps), and huge (overflow horizon) gaps.
+func (o *sortOracle) pop() heapKey {
+	k := (*o)[0]
+	*o = (*o)[1:]
+	return k
+}
+
+// pushTagged pushes an event whose payload records its own seq, so a pop
+// can check that the payload came back with its key.
+func pushTagged(h *eventHeap, t Time, seq int64) {
+	h.push(t, seq, event{arg: seq})
+}
+
+// popChecked pops h and fails unless the result is want, payload included.
+func popChecked(tb testing.TB, h *eventHeap, want heapKey, ctx string) {
+	tb.Helper()
+	t, ev := h.pop()
+	if t != want.t || ev.arg != want.seq {
+		tb.Fatalf("%s: popped (t=%d, payload seq %d), want (t=%d, seq %d)", ctx, t, ev.arg, want.t, want.seq)
+	}
+}
+
+// TestQueueMatchesSortOracle is the heap's defining property: on
+// randomized interleavings of pushes and pops — every push at or after
+// the last popped time, as the engine guarantees, with same-instant ties,
+// near and far deltas, and bursts that deepen the heap by hundreds — it
+// pops exactly what a sorted slice pops, payload for payload.
+func TestQueueMatchesSortOracle(t *testing.T) {
 	deltas := []int64{0, 0, 1, 3, 100, 4096, 65536, 1 << 22, 1 << 34}
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		heap := &heapQueue{}
-		others := []evq{newCalendarQueue(), &hybridQueue{}}
+		var h eventHeap
+		var ref sortOracle
 		var seq int64
 		low := Time(0) // last popped time: pushes may not precede it
 		for op := 0; op < 5000; op++ {
-			for qi, q := range others {
-				if q.len() != heap.len() {
-					t.Fatalf("seed %d op %d queue %d: len %d vs %d", seed, op, qi, q.len(), heap.len())
-				}
+			if h.len() != len(ref) {
+				t.Fatalf("seed %d op %d: len %d, oracle %d", seed, op, h.len(), len(ref))
 			}
-			// Bias towards pushes so the queues grow and resize, but keep
-			// popping throughout so cur/lastT advance through the ring.
-			if heap.len() == 0 || rng.Intn(3) > 0 {
+			if len(ref) == 0 || rng.Intn(3) > 0 {
 				burst := 1
 				if rng.Intn(20) == 0 {
-					burst = 50 + rng.Intn(200) // trigger grow resizes
+					burst = 50 + rng.Intn(200)
 				}
 				for i := 0; i < burst; i++ {
 					seq++
 					tt := low + Time(deltas[rng.Intn(len(deltas))])
-					ev := event{t: tt, seq: seq}
-					heap.push(ev)
-					for _, q := range others {
-						q.push(ev)
-					}
+					pushTagged(&h, tt, seq)
+					ref.push(heapKey{t: tt, seq: seq})
 				}
 				continue
 			}
-			b := heap.pop()
-			for qi, q := range others {
-				if a := q.pop(); a.t != b.t || a.seq != b.seq {
-					t.Fatalf("seed %d op %d queue %d: pop (%d,%d) vs (%d,%d)", seed, op, qi, a.t, a.seq, b.t, b.seq)
-				}
+			want := ref.pop()
+			if h.min() != want.t {
+				t.Fatalf("seed %d op %d: min %d, oracle %d", seed, op, h.min(), want.t)
 			}
-			low = b.t
+			popChecked(t, &h, want, "seed "+strconv.FormatInt(seed, 10))
+			low = want.t
 		}
-		ha := popAll(heap)
-		for qi, q := range others {
-			qa := popAll(q)
-			if len(qa) != len(ha) {
-				t.Fatalf("seed %d queue %d: drain lengths %d vs %d", seed, qi, len(qa), len(ha))
-			}
-			for i := range qa {
-				if qa[i].t != ha[i].t || qa[i].seq != ha[i].seq {
-					t.Fatalf("seed %d queue %d: drain diverges at %d: (%d,%d) vs (%d,%d)",
-						seed, qi, i, qa[i].t, qa[i].seq, ha[i].t, ha[i].seq)
-				}
-			}
+		for len(ref) > 0 {
+			popChecked(t, &h, ref.pop(), "drain")
+		}
+		if h.len() != 0 {
+			t.Fatalf("seed %d: %d events left after the oracle drained", seed, h.len())
 		}
 	}
 }
 
 // TestQueueSameInstantFIFO pins the tie-break rule in isolation: many
-// events at one instant fire in push order on both implementations.
+// events at one instant fire in push order.
 func TestQueueSameInstantFIFO(t *testing.T) {
-	for _, k := range []QueueKind{CalendarQueue, HeapQueue, HybridQueue} {
-		q := newQueue(k)
-		for i := 1; i <= 100; i++ {
-			q.push(event{t: 42, seq: int64(i)})
+	var h eventHeap
+	for i := 1; i <= 1000; i++ {
+		pushTagged(&h, 42, int64(i))
+	}
+	for i := 1; i <= 1000; i++ {
+		popChecked(t, &h, heapKey{t: 42, seq: int64(i)}, "tie "+strconv.Itoa(i))
+	}
+}
+
+// TestQueueBoundarySizes drains heaps whose sizes sit on and around the
+// 4-ary level boundaries (1, 5, 21, 85, 341, 1365 nodes fill whole
+// levels), where a sift-down meets a node with fewer than four children.
+func TestQueueBoundarySizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 6, 20, 21, 22, 84, 85, 86, 340, 341, 342, 1364, 1365, 1366} {
+		var h eventHeap
+		var ref sortOracle
+		for i := 1; i <= n; i++ {
+			tt := Time(rng.Intn(n/2 + 1)) // about two events per instant
+			pushTagged(&h, tt, int64(i))
+			ref.push(heapKey{t: tt, seq: int64(i)})
 		}
-		for i := 1; i <= 100; i++ {
-			if ev := q.pop(); ev.seq != int64(i) {
-				t.Fatalf("kind %v: tie %d popped as seq %d", k, i, ev.seq)
-			}
+		for len(ref) > 0 {
+			popChecked(t, &h, ref.pop(), "size "+strconv.Itoa(n))
+		}
+		if h.len() != 0 {
+			t.Fatalf("size %d: %d left", n, h.len())
 		}
 	}
 }
 
-// TestQueueShrinkAfterDrain exercises the shrink path: grow the ring with
-// a large burst, drain most of it, and check order is still exact.
-func TestQueueShrinkAfterDrain(t *testing.T) {
-	cal, heap := newCalendarQueue(), &heapQueue{}
+// TestQueueSlotReuseAfterDrain fills the heap, drains it, and fills it
+// again: the refill must reuse the drained slab slots rather than grow
+// the slab, and order must stay exact across the reuse.
+func TestQueueSlotReuseAfterDrain(t *testing.T) {
+	const n = 3000
 	rng := rand.New(rand.NewSource(9))
-	for i := 1; i <= 3000; i++ {
-		ev := event{t: Time(rng.Int63n(1 << 30)), seq: int64(i)}
-		cal.push(ev)
-		heap.push(ev)
-	}
-	for cal.len() > 0 {
-		a, b := cal.pop(), heap.pop()
-		if a.t != b.t || a.seq != b.seq {
-			t.Fatalf("diverged: (%d,%d) vs (%d,%d)", a.t, a.seq, b.t, b.seq)
-		}
-	}
-	if heap.len() != 0 {
-		t.Fatal("heap not drained")
-	}
-}
-
-// TestEngineQueueKindsProduceIdenticalRuns runs a small random proc
-// workload — sleepers, a contended semaphore, zero-delay wakes — on one
-// engine per queue kind and requires the full (time, label) firing traces
-// to match. This is the engine-level determinism contract behind the
-// constructor switch: the queue is an implementation detail invisible to
-// any simulation.
-func TestEngineQueueKindsProduceIdenticalRuns(t *testing.T) {
-	trace := func(kind QueueKind) []string {
-		e := NewEngineWithQueue(kind)
-		defer e.Close()
-		var out []string
-		note := func(tag string) {
-			out = append(out, Time(e.Now()).String()+" "+tag)
-		}
-		rng := rand.New(rand.NewSource(31))
-		sem := NewSemaphore(e, "s", 2)
-		for i := 0; i < 40; i++ {
-			tag := string(rune('A' + i%26))
-			d := time.Duration(rng.Int63n(int64(5 * time.Microsecond)))
-			e.Go("p"+tag, func(p *Proc) {
-				p.Sleep(d)
-				sem.Acquire(p, 1)
-				note("acq" + tag)
-				p.Sleep(time.Duration(rng.Int63n(int64(time.Microsecond))))
-				note("rel" + tag)
-				sem.Release(1)
-			})
-			e.After(d/2, func() { note("ev" + tag) })
-		}
-		e.Run()
-		return out
-	}
-	a, b, c := trace(CalendarQueue), trace(HeapQueue), trace(HybridQueue)
-	if len(a) != len(b) || len(a) != len(c) {
-		t.Fatalf("trace lengths differ: %d vs %d vs %d", len(a), len(b), len(c))
-	}
-	for i := range a {
-		if a[i] != b[i] || a[i] != c[i] {
-			t.Fatalf("traces diverge at %d: %q vs %q vs %q", i, a[i], b[i], c[i])
-		}
-	}
-}
-
-// TestHybridQueueMigrates pins the hybrid's mode transitions: growing
-// past the upper threshold moves the pending set onto the calendar,
-// draining below the lower threshold moves it back, and order is exact
-// throughout.
-func TestHybridQueueMigrates(t *testing.T) {
-	h, ref := &hybridQueue{}, &heapQueue{}
-	rng := rand.New(rand.NewSource(4))
+	var h eventHeap
 	var seq int64
-	push := func(n int, low Time) {
+	for round := 0; round < 3; round++ {
+		var ref sortOracle
 		for i := 0; i < n; i++ {
 			seq++
-			ev := event{t: low + Time(rng.Int63n(1<<30)), seq: seq}
-			h.push(ev)
-			ref.push(ev)
+			tt := Time(round)<<40 + Time(rng.Int63n(1<<30))
+			pushTagged(&h, tt, seq)
+			ref.push(heapKey{t: tt, seq: seq})
+		}
+		if len(h.slab) != n {
+			t.Fatalf("round %d: slab holds %d slots for %d events", round, len(h.slab), n)
+		}
+		for len(ref) > 0 {
+			popChecked(t, &h, ref.pop(), "round "+strconv.Itoa(round))
+		}
+		if len(h.free) != n {
+			t.Fatalf("round %d: %d free slots after draining %d events", round, len(h.free), n)
 		}
 	}
-	push(hqToCalendar, 0)
-	if h.onCal {
-		t.Fatalf("on calendar at %d pending (threshold %d)", h.len(), hqToCalendar)
-	}
-	push(1, 0)
-	if !h.onCal {
-		t.Fatalf("still on heap at %d pending (threshold %d)", h.len(), hqToCalendar)
-	}
-	low := Time(0)
-	for h.len() >= hqToHeap {
-		a, b := h.pop(), ref.pop()
-		if a.t != b.t || a.seq != b.seq {
-			t.Fatalf("diverged: (%d,%d) vs (%d,%d)", a.t, a.seq, b.t, b.seq)
-		}
-		low = a.t
-	}
-	if h.onCal {
-		t.Fatalf("still on calendar at %d pending (threshold %d)", h.len(), hqToHeap)
-	}
-	push(300, low) // grow again: a second migration must stay exact
+}
+
+// testTarget is a CompletionTarget for payload-release checks.
+type testTarget struct{}
+
+func (*testTarget) Complete(Completion, Time) {}
+
+// TestQueuePopReleasesPayload: a popped event's slab slot keeps no
+// reference to its closure, proc or completion target, so the garbage
+// collector can reclaim them while the slot waits for reuse.
+func TestQueuePopReleasesPayload(t *testing.T) {
+	var h eventHeap
+	h.push(1, 1, event{fn: func() {}})
+	h.push(2, 2, event{p: &Proc{}, gen: 7})
+	h.push(3, 3, event{tgt: &testTarget{}, gen: 1, kind: 2, arg: 3})
 	for h.len() > 0 {
-		a, b := h.pop(), ref.pop()
-		if a.t != b.t || a.seq != b.seq {
-			t.Fatalf("post-remigration divergence: (%d,%d) vs (%d,%d)", a.t, a.seq, b.t, b.seq)
-		}
+		h.pop()
 	}
-	if ref.len() != 0 {
-		t.Fatal("reference heap not drained")
-	}
-}
-
-var queueKinds = []struct {
-	name string
-	kind QueueKind
-}{{"calendar", CalendarQueue}, {"heap", HeapQueue}, {"hybrid", HybridQueue}}
-
-// benchmarkQueueHold measures raw push/pop throughput on a hold-model
-// workload (pop one, push one a random distance ahead), which is the
-// steady state the engine presents, at a fixed pending-set size.
-func benchmarkQueueHold(b *testing.B, kind QueueKind, size int) {
-	rng := rand.New(rand.NewSource(1))
-	q := newQueue(kind)
-	var seq int64
-	now := Time(0)
-	for i := 0; i < size; i++ {
-		seq++
-		q.push(event{t: now + Time(rng.Int63n(1<<20)), seq: seq})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := q.pop()
-		now = ev.t
-		seq++
-		q.push(event{t: now + Time(rng.Int63n(1<<20)), seq: seq})
-	}
-}
-
-// BenchmarkQueueSmall covers the small-queue regime the hybrid exists
-// for: the hybrid should track the heap here, not the calendar's ring
-// scan (the sizes straddle the hybrid's lower migration threshold).
-func BenchmarkQueueSmall(b *testing.B) {
-	for _, bc := range queueKinds {
-		for _, size := range []int{4, 12, 48} {
-			b.Run(bc.name+"/"+strconv.Itoa(size), func(b *testing.B) {
-				benchmarkQueueHold(b, bc.kind, size)
-			})
+	for i, ev := range h.slab {
+		if ev.fn != nil || ev.p != nil || ev.tgt != nil || ev.gen != 0 || ev.kind != 0 || ev.arg != 0 {
+			t.Fatalf("slot %d still holds a popped payload: %+v", i, ev)
 		}
 	}
 }
 
-// BenchmarkQueue measures the queue kinds across the sizes simulation
-// runs actually present (hundreds to thousands pending).
+// -update rewrites the engine firing-trace golden instead of comparing.
+var update = flag.Bool("update", false, "rewrite testdata/engine_trace.golden")
+
+// firingTrace runs a fixed random workload that touches every event kind
+// — callbacks, proc dispatch tokens, completion tokens — through
+// sleepers, a contended semaphore, zero-delay wakes, a mailbox, a burst
+// of several hundred same-instant-heavy events that makes the pending
+// set deep, and a RunUntil pause that leaves events queued. It returns
+// one "time tag" line per observable action, in firing order.
+func firingTrace() []string {
+	e := NewEngine()
+	defer e.Close()
+	var out []string
+	note := func(tag string) { out = append(out, e.Now().String()+" "+tag) }
+	rng := rand.New(rand.NewSource(31))
+	sem := NewSemaphore(e, "s", 2)
+	mb := NewMailbox(e, "mb")
+	for i := 0; i < 40; i++ {
+		tag := strconv.Itoa(i)
+		d := time.Duration(rng.Int63n(int64(5 * time.Microsecond)))
+		e.Go("p"+tag, func(p *Proc) {
+			p.Sleep(d)
+			sem.Acquire(p, 1)
+			note("acq" + tag)
+			p.Sleep(time.Duration(rng.Int63n(int64(time.Microsecond))))
+			note("rel" + tag)
+			sem.Release(1)
+			mb.Put(tag)
+		})
+		e.After(d/2, func() { note("ev" + tag) })
+	}
+	e.Go("sink", func(p *Proc) {
+		for i := 0; i < 40; i++ {
+			note("got" + mb.Get(p).(string))
+		}
+	})
+	// The burst lands on only 64 distinct instants, so long same-instant
+	// runs must fire in scheduling order.
+	for i := 0; i < 600; i++ {
+		tag := "b" + strconv.Itoa(i)
+		at := Time(rng.Int63n(64)) * Time(100*time.Nanosecond)
+		if i%3 == 0 {
+			e.AtCompletion(at, Callback(func(Time) { note(tag) }))
+		} else {
+			e.At(at, func() { note(tag) })
+		}
+	}
+	e.RunUntil(Time(2 * time.Microsecond))
+	note("pause pending=" + strconv.Itoa(e.Pending()))
+	e.Run()
+	return out
+}
+
+// TestEngineFiringTraceGolden pins the engine's complete firing order to
+// a golden captured on the calendar/hybrid queue engine this heap
+// replaced (all three of its queue kinds reproduced it). Any queue that
+// honours the strict (t, seq) order reproduces the trace line for line,
+// so a queue change never needs to regenerate it.
+func TestEngineFiringTraceGolden(t *testing.T) {
+	got := strings.Join(firingTrace(), "\n") + "\n"
+	path := filepath.Join("testdata", "engine_trace.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden %s: %v", path, err)
+	}
+	if got != string(want) {
+		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := range g {
+			if i >= len(w) || g[i] != w[i] {
+				t.Fatalf("firing trace diverges from %s at line %d: got %q", path, i+1, g[i])
+			}
+		}
+		t.Fatalf("firing trace stops at line %d of %s's %d", len(g), path, len(w))
+	}
+}
+
+// BenchmarkQueue measures push/pop throughput on a hold-model workload
+// (pop one, push one a random distance ahead), the steady state the
+// engine presents, from a shallow queue to the 32k pending events of the
+// deepest 8-byte-record runs.
 func BenchmarkQueue(b *testing.B) {
-	for _, bc := range queueKinds {
-		for _, size := range []int{32, 512, 8192} {
-			b.Run(bc.name+"/"+strconv.Itoa(size), func(b *testing.B) {
-				benchmarkQueueHold(b, bc.kind, size)
-			})
-		}
+	for _, size := range []int{16, 128, 1024, 8192, 32768} {
+		b.Run(strconv.Itoa(size), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			var h eventHeap
+			var seq int64
+			for i := 0; i < size; i++ {
+				seq++
+				h.push(Time(rng.Int63n(1<<20)), seq, event{})
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now, _ := h.pop()
+				seq++
+				h.push(now+Time(rng.Int63n(1<<20)), seq, event{})
+			}
+		})
 	}
 }
