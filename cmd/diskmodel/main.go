@@ -69,18 +69,27 @@ func bench(seed int64, n int, slots []int64, write bool) string {
 	d := disk.New(e, "bench", disk.HP97560(), nil, nil)
 	data := make([]byte, 16*512)
 	var end sim.Time
+	var err error // a healthy drive never fails; reported, not hidden
 	e.Go("driver", func(p *sim.Proc) {
 		for _, s := range slots {
 			if write {
-				d.WriteSync(p, s, data)
+				err = d.TryWriteSync(p, s, data)
 			} else {
-				d.ReadSync(p, s, 16)
+				var buf []byte
+				buf, err = d.TryReadSync(p, s, 16)
+				d.Recycle(buf)
+			}
+			if err != nil {
+				return
 			}
 		}
 		d.Flush(p)
 		end = p.Now()
 	})
 	e.Run()
+	if err != nil {
+		return "failed: " + err.Error()
+	}
 	bytes := float64(n * 16 * 512)
 	m := d.Metrics()
 	return fmt.Sprintf("%6.2f MB/s, %7.3f ms/op  (%d seeks, %d cache hits, %d streamed)",

@@ -72,8 +72,9 @@ type Disk struct {
 	queue   []*Request
 	queued  *sim.Cond
 	m       Metrics
-	storage map[int64]sector  // sector LBN -> stored bytes + backing ref
-	pool    Pool              // free-listed transfer buffers (see pool.go)
+	storage map[int64]*page   // LBN/pageSectors -> stored page (see storage.go)
+	stored  int               // sectors written at least once
+	pool    Pool              // free-listed read transfer buffers (see pool.go)
 	rec     *trace.Recorder   // event tracing, nil when disabled
 	faults  *fault.DiskFaults // fault injection, nil when disabled
 }
@@ -92,7 +93,7 @@ func New(e *sim.Engine, name string, spec *Spec, b *bus.Bus, sched Scheduler) *D
 		bus:     b,
 		g:       newGeom(spec),
 		sched:   sched,
-		storage: make(map[int64]sector),
+		storage: make(map[int64]*page),
 		rec:     e.Recorder(),
 	}
 	d.rec.RegisterDisk(name)
@@ -134,25 +135,13 @@ func (d *Disk) Submit(r *Request) {
 
 // TryReadSync submits a read and blocks p until it completes, returning
 // the data or the request's failure (ErrTransient under fault
-// injection). Callers that retry use this; ReadSync panics instead.
+// injection, which callers retry or report).
 func (d *Disk) TryReadSync(p *sim.Proc, lbn, count int64) ([]byte, error) {
 	done := sim.NewWaitGroup(d.eng, "diskread", 1)
 	r := &Request{LBN: lbn, Count: count, OnDone: func(sim.Time) { done.Done() }}
 	d.Submit(r)
 	done.Wait(p)
 	return r.Data, r.Err
-}
-
-// ReadSync submits a read and blocks p until it completes, returning the
-// data. A failed request panics: callers without a retry loop must not
-// silently read nothing, and without fault injection requests cannot
-// fail.
-func (d *Disk) ReadSync(p *sim.Proc, lbn, count int64) []byte {
-	data, err := d.TryReadSync(p, lbn, count)
-	if err != nil {
-		panic(fmt.Sprintf("disk %s: unretried read failure: %v", d.Name, err))
-	}
-	return data
 }
 
 // TryWriteSync submits a write and blocks p until the drive accepts it
@@ -164,14 +153,6 @@ func (d *Disk) TryWriteSync(p *sim.Proc, lbn int64, data []byte) error {
 	d.Submit(r)
 	done.Wait(p)
 	return r.Err
-}
-
-// WriteSync submits a write and blocks p until the drive accepts it,
-// panicking on an unretried failure (see ReadSync).
-func (d *Disk) WriteSync(p *sim.Proc, lbn int64, data []byte) {
-	if err := d.TryWriteSync(p, lbn, data); err != nil {
-		panic(fmt.Sprintf("disk %s: unretried write failure: %v", d.Name, err))
-	}
 }
 
 // Flush blocks p until the write-behind buffer has drained to media and

@@ -18,6 +18,27 @@ func newTestDisk(t *testing.T, spec *Spec) (*sim.Engine, *Disk) {
 	return e, d
 }
 
+// mustRead is TryReadSync for tests that inject no faults: a failure is
+// reported with t.Errorf (t.Fatal would exit the proc's goroutine and
+// stall the engine) and reads as nil.
+func mustRead(t *testing.T, p *sim.Proc, d *Disk, lbn, count int64) []byte {
+	t.Helper()
+	data, err := d.TryReadSync(p, lbn, count)
+	if err != nil {
+		t.Errorf("read %d+%d: %v", lbn, count, err)
+	}
+	return data
+}
+
+// mustWrite is TryWriteSync for tests that inject no faults (see
+// mustRead).
+func mustWrite(t *testing.T, p *sim.Proc, d *Disk, lbn int64, data []byte) {
+	t.Helper()
+	if err := d.TryWriteSync(p, lbn, data); err != nil {
+		t.Errorf("write %d+%d: %v", lbn, len(data), err)
+	}
+}
+
 func TestReadWriteRoundTripData(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	payload := make([]byte, 16*512)
@@ -26,9 +47,9 @@ func TestReadWriteRoundTripData(t *testing.T) {
 	}
 	var got []byte
 	e.Go("t", func(p *sim.Proc) {
-		d.WriteSync(p, 4096, payload)
+		mustWrite(t, p, d, 4096, payload)
 		d.Flush(p)
-		got = d.ReadSync(p, 4096, 16)
+		got = mustRead(t, p, d, 4096, 16)
 	})
 	e.Run()
 	if !bytes.Equal(got, payload) {
@@ -39,7 +60,7 @@ func TestReadWriteRoundTripData(t *testing.T) {
 func TestUnwrittenSectorsReadZero(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	var got []byte
-	e.Go("t", func(p *sim.Proc) { got = d.ReadSync(p, 100, 4) })
+	e.Go("t", func(p *sim.Proc) { got = mustRead(t, p, d, 100, 4) })
 	e.Run()
 	for _, b := range got {
 		if b != 0 {
@@ -54,7 +75,7 @@ func TestSequentialReadApproachesSustainedRate(t *testing.T) {
 	var end sim.Time
 	e.Go("t", func(p *sim.Proc) {
 		for b := int64(0); b < blocks; b++ {
-			d.ReadSync(p, b*16, 16)
+			mustRead(t, p, d, b*16, 16)
 		}
 		end = p.Now()
 	})
@@ -80,7 +101,7 @@ func TestSequentialWriteApproachesSustainedRate(t *testing.T) {
 	var end sim.Time
 	e.Go("t", func(p *sim.Proc) {
 		for b := int64(0); b < blocks; b++ {
-			d.WriteSync(p, b*16, data)
+			mustWrite(t, p, d, b*16, data)
 		}
 		d.Flush(p)
 		end = p.Now()
@@ -100,7 +121,7 @@ func TestRandomReadsCostSeekPlusRotation(t *testing.T) {
 	e.Go("t", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			slot := rng.Int63n(d.Spec.TotalSectors()/16 - 1)
-			d.ReadSync(p, slot*16, 16)
+			mustRead(t, p, d, slot*16, 16)
 		}
 		end = p.Now()
 	})
@@ -135,7 +156,7 @@ func TestSortedReadsBeatUnsorted(t *testing.T) {
 		var end sim.Time
 		e.Go("t", func(p *sim.Proc) {
 			for _, s := range slots {
-				d.ReadSync(p, s, 16)
+				mustRead(t, p, d, s, 16)
 			}
 			end = p.Now()
 		})
@@ -154,12 +175,12 @@ func TestCacheHitIsMechanicallyFree(t *testing.T) {
 	var first, second time.Duration
 	e.Go("t", func(p *sim.Proc) {
 		t0 := p.Now()
-		d.ReadSync(p, 0, 16)
+		mustRead(t, p, d, 0, 16)
 		first = time.Duration(p.Now() - t0)
 		// Wait for read-ahead to cover the next block, then re-read it.
 		p.Sleep(100 * time.Millisecond)
 		t1 := p.Now()
-		d.ReadSync(p, 16, 16)
+		mustRead(t, p, d, 16, 16)
 		second = time.Duration(p.Now() - t1)
 	})
 	e.Run()
@@ -176,9 +197,9 @@ func TestReadAheadDisabledByZeroSegment(t *testing.T) {
 	spec.CacheSegmentSectors = 0
 	e, d := newTestDisk(t, spec)
 	e.Go("t", func(p *sim.Proc) {
-		d.ReadSync(p, 0, 16)
+		mustRead(t, p, d, 0, 16)
 		p.Sleep(50 * time.Millisecond)
-		d.ReadSync(p, 16, 16)
+		mustRead(t, p, d, 16, 16)
 	})
 	e.Run()
 	m := d.Metrics()
@@ -192,7 +213,7 @@ func TestReadAheadDisabledByZeroSegment(t *testing.T) {
 	var dur time.Duration
 	e2.Go("t", func(p *sim.Proc) {
 		t0 := p.Now()
-		d2.WriteSync(p, 0, make([]byte, 16*512))
+		mustWrite(t, p, d2, 0, make([]byte, 16*512))
 		dur = time.Duration(p.Now() - t0)
 	})
 	e2.Run()
@@ -209,10 +230,10 @@ func TestWriteInvalidatesOverlappingReadCache(t *testing.T) {
 	}
 	var got []byte
 	e.Go("t", func(p *sim.Proc) {
-		d.ReadSync(p, 0, 16)     // populates cache with zeros
-		d.WriteSync(p, 0, fresh) // overwrite same block
+		mustRead(t, p, d, 0, 16)     // populates cache with zeros
+		mustWrite(t, p, d, 0, fresh) // overwrite same block
 		d.Flush(p)
-		got = d.ReadSync(p, 0, 16)
+		got = mustRead(t, p, d, 0, 16)
 	})
 	e.Run()
 	if !bytes.Equal(got, fresh) {
@@ -304,8 +325,8 @@ func TestWriteWrongLengthPanics(t *testing.T) {
 func TestMetricsCountOps(t *testing.T) {
 	e, d := newTestDisk(t, HP97560())
 	e.Go("t", func(p *sim.Proc) {
-		d.ReadSync(p, 0, 16)
-		d.WriteSync(p, 320, make([]byte, 16*512))
+		mustRead(t, p, d, 0, 16)
+		mustWrite(t, p, d, 320, make([]byte, 16*512))
 		d.Flush(p)
 	})
 	e.Run()
@@ -326,9 +347,9 @@ func TestNonSequentialWriteDrainsFirst(t *testing.T) {
 	data := make([]byte, 16*512)
 	var gap time.Duration
 	e.Go("t", func(p *sim.Proc) {
-		d.WriteSync(p, 0, data) // starts a write-behind run
+		mustWrite(t, p, d, 0, data) // starts a write-behind run
 		t0 := p.Now()
-		d.WriteSync(p, 50000, data) // far away: must drain + seek
+		mustWrite(t, p, d, 50000, data) // far away: must drain + seek
 		gap = time.Duration(p.Now() - t0)
 	})
 	e.Run()

@@ -1,27 +1,25 @@
 package disk
 
-// Byte storage behind the mechanical model. Contents are kept per sector
-// so experiments can verify end-to-end data integrity; unwritten sectors
+import "math/bits"
+
+// Byte storage behind the mechanical model. Contents are kept so
+// experiments can verify end-to-end data integrity; unwritten sectors
 // read as zeros.
 //
-// Both directions run over the disk's buffer free-list (see pool.go):
-// reads fill a recycled transfer buffer, and writes keep their backing
-// array alive only while at least one of its sectors is still current —
-// overwriting the last live sector of an old write returns its array to
-// the free list.
+// Storage is a map of fixed pages of pageSectors consecutive sectors
+// (8 KiB at 512-byte sectors). A write copies into its pages in place,
+// so moving a block costs one map operation per page and a copy, not a
+// map entry per sector. Each page records which of its sectors have
+// been written, which keeps StoredSectors meaningful.
 
-// sector is one stored sector: its bytes plus a reference to the write
-// whose backing array holds them (for free-list accounting).
-type sector struct {
-	data []byte
-	src  *wbuf
-}
+// pageSectors is the number of sectors per storage page.
+const pageSectors = 16
 
-// wbuf is the backing array of one WriteData call, reference-counted by
-// the number of its sectors still present in the storage map.
-type wbuf struct {
-	buf  []byte
-	live int
+// page is one stored run of pageSectors sectors. Sectors never written
+// stay zero in data.
+type page struct {
+	written uint16 // bit i set: sector i has been written
+	data    []byte
 }
 
 // WriteData stores bytes at the given sector without simulating any time
@@ -32,21 +30,20 @@ func (d *Disk) WriteData(lbn int64, data []byte) {
 	if len(data)%ss != 0 {
 		panic("disk: WriteData length not sector-aligned")
 	}
-	// One pooled backing array per call, subsliced per sector. Stored
-	// sectors are never mutated in place (a later write replaces the map
-	// entry), so sharing the backing array between sectors is safe.
-	buf := d.pool.Get(len(data))
-	copy(buf, data)
-	src := &wbuf{buf: buf, live: len(data) / ss}
-	for off := 0; off < len(data); off += ss {
-		l := lbn + int64(off/ss)
-		if old, ok := d.storage[l]; ok && old.src != nil {
-			old.src.live--
-			if old.src.live == 0 {
-				d.pool.Put(old.src.buf)
-			}
+	for len(data) > 0 {
+		key, first := lbn/pageSectors, int(lbn%pageSectors)
+		n := min(pageSectors-first, len(data)/ss)
+		pg := d.storage[key]
+		if pg == nil {
+			pg = &page{data: make([]byte, pageSectors*ss)}
+			d.storage[key] = pg
 		}
-		d.storage[l] = sector{data: buf[off : off+ss : off+ss], src: src}
+		copy(pg.data[first*ss:], data[:n*ss])
+		mask := uint16(1<<n-1) << first
+		d.stored += bits.OnesCount16(mask &^ pg.written)
+		pg.written |= mask
+		lbn += int64(n)
+		data = data[n*ss:]
 	}
 }
 
@@ -57,13 +54,16 @@ func (d *Disk) WriteData(lbn int64, data []byte) {
 func (d *Disk) ReadData(lbn, count int64) []byte {
 	ss := d.Spec.SectorSize
 	out := d.pool.Get(int(count) * ss)
-	for i := int64(0); i < count; i++ {
-		dst := out[int(i)*ss : int(i+1)*ss]
-		if s, ok := d.storage[lbn+i]; ok {
-			copy(dst, s.data)
+	for dst := out; len(dst) > 0; {
+		key, first := lbn/pageSectors, int(lbn%pageSectors)
+		n := min(pageSectors-first, len(dst)/ss)
+		if pg := d.storage[key]; pg != nil {
+			copy(dst[:n*ss], pg.data[first*ss:])
 		} else {
-			clear(dst) // pooled buffers carry stale bytes
+			clear(dst[:n*ss]) // pooled buffers carry stale bytes
 		}
+		lbn += int64(n)
+		dst = dst[n*ss:]
 	}
 	return out
 }
@@ -73,11 +73,11 @@ func (d *Disk) ReadData(lbn, count int64) []byte {
 // WriteData. Pass it to Recycle when done.
 func (d *Disk) Buffer(n int) []byte { return d.pool.Get(n) }
 
-// Recycle returns a buffer obtained from ReadData, ReadSync, or Buffer
-// to the disk's free list. The caller must not retain any reference into
-// the buffer (including subslices) afterwards; a recycled buffer is
-// reused verbatim by a later read or write.
+// Recycle returns a buffer obtained from ReadData, TryReadSync, or
+// Buffer to the disk's free list. The caller must not retain any
+// reference into the buffer (including subslices) afterwards; a recycled
+// buffer is reused verbatim by a later read.
 func (d *Disk) Recycle(buf []byte) { d.pool.Put(buf) }
 
 // StoredSectors returns how many distinct sectors hold data (diagnostic).
-func (d *Disk) StoredSectors() int { return len(d.storage) }
+func (d *Disk) StoredSectors() int { return d.stored }

@@ -115,17 +115,28 @@ func TestVerifyFailureString(t *testing.T) {
 }
 
 // Whenever a run reports verification errors it names the first bad
-// range, and the named byte really differs from the image. The mixed
-// read/write stream below exercises tcfs partial-write frames, where
-// ROADMAP defect (a) lives; a clean run names nothing.
+// range, and the named byte really differs from the image; a clean run
+// names nothing. The mixed read/write stream exercises tcfs partial-write
+// frames, where ROADMAP defect (a) lived (it now verifies clean); the
+// overlapping read-only stream under two-phase I/O is defect (b), which
+// still fails.
 func TestRunReportsFirstBadRangeConsistently(t *testing.T) {
-	wl, err := workload.Parse([]byte(`{"name":"p","phases":[{"pattern":"uniform","requests":64,"record_sizes":[1000],"read_fraction":0.5}]}`))
+	mixed, err := workload.Parse([]byte(`{"name":"p","phases":[{"pattern":"uniform","requests":64,"record_sizes":[1000],"read_fraction":0.5}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []Method{TraditionalCaching, DiskDirected} {
+	overlapping, err := workload.Parse([]byte(`{"name":"p","phases":[{"pattern":"uniform","requests":256,"record_sizes":[1000,8192]}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		m   Method
+		ncp int
+		wl  *workload.Spec
+	}{{TraditionalCaching, 1, mixed}, {DiskDirected, 1, mixed}, {TwoPhase, 4, overlapping}} {
+		m := c.m
 		cfg := smokeCfg()
-		cfg.Method, cfg.NCP, cfg.NIOP, cfg.NDisks, cfg.Workload = m, 1, 2, 2, wl
+		cfg.Method, cfg.NCP, cfg.NIOP, cfg.NDisks, cfg.Workload = m, c.ncp, 2, 2, c.wl
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -146,6 +157,29 @@ func TestRunReportsFirstBadRangeConsistently(t *testing.T) {
 			if _, err := NewRunner(1, nil).Trials(cfg, 1); err == nil || !strings.Contains(err.Error(), fb.String()) {
 				t.Errorf("%v: runner error %v does not name the first bad range", m, err)
 			}
+		}
+	}
+}
+
+// TestWriteThenReadOfPartialBlockVerifies is ROADMAP defect (a)'s
+// minimized trace: a 1000-byte write into block 29 leaves a partially
+// written tcfs frame in the cache, and a later read of another range of
+// that block hits it. The read must return the file's bytes, not the
+// frame's unfilled zeros, under every method.
+func TestWriteThenReadOfPartialBlockVerifies(t *testing.T) {
+	wl, err := workload.ParseTrace([]byte("0,0,w,239000,1000\n0.1,0,r,238000,1000\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{TraditionalCaching, DiskDirected, DiskDirectedSort, TwoPhase} {
+		cfg := smokeCfg()
+		cfg.Method, cfg.NCP, cfg.NIOP, cfg.NDisks, cfg.Workload = m, 1, 2, 2, wl
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.VerifyErrors != 0 {
+			t.Errorf("%v: %d verification errors; first: %v", m, res.VerifyErrors, res.FirstBad)
 		}
 	}
 }

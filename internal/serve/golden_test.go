@@ -148,18 +148,19 @@ func TestServedWorkloadRun(t *testing.T) {
 }
 
 // TestVerifyFailureCounter pins ddiosimd_verify_failures_total on the
-// real simulator. The run is ROADMAP defect (a), a mixed read/write
-// workload under traditional caching whose reads hit unfilled partial-
-// write frames: it is served normally, reports its verification errors,
-// and counts once. The same workload under disk-directed I/O verifies
-// clean and does not count. Once defect (a) is fixed, the TC run needs
-// replacing with another reproduction that still fails verification.
+// real simulator. The run is ROADMAP defect (b), a read-only stream
+// under two-phase I/O in which one request contains another and the
+// enclosing request's buffer keeps a zero tail: it is served normally,
+// reports its verification errors, and counts once. The same workload
+// under disk-directed I/O verifies clean and does not count. Once defect
+// (b) is fixed, the two-phase run needs replacing with another
+// reproduction that still fails verification.
 func TestVerifyFailureCounter(t *testing.T) {
 	s := New(Config{QueueDepth: 2, Concurrency: 1})
 	run := func(method string) RunSummary {
 		t.Helper()
-		body := `{"method":"` + method + `","pattern":"ra","cps":1,"iops":2,"disks":2,"filemb":1,"seed":1,
-			"workload":{"name":"p","phases":[{"pattern":"uniform","requests":64,"record_sizes":[1000],"read_fraction":0.5}]}}`
+		body := `{"method":"` + method + `","pattern":"ra","cps":4,"iops":2,"disks":2,"filemb":1,"seed":1,
+			"workload":{"name":"p","phases":[{"pattern":"uniform","requests":256,"record_sizes":[1000,8192]}]}}`
 		rr := do(t, s, "POST", "/v1/runs", body)
 		if rr.Code != http.StatusOK {
 			t.Fatalf("%s: status %d: %s", method, rr.Code, rr.Body.String())
@@ -178,8 +179,8 @@ func TestVerifyFailureCounter(t *testing.T) {
 		return st.VerifyFailures, do(t, s, "GET", "/metrics", "").Body.String()
 	}
 
-	if sum := run("tc"); sum.VerifyErrors == 0 {
-		t.Fatalf("defect (a) workload verified clean under TC: %+v", sum)
+	if sum := run("2phase"); sum.VerifyErrors == 0 {
+		t.Fatalf("defect (b) workload verified clean under two-phase I/O: %+v", sum)
 	}
 	if n, m := failures(); n != 1 || !strings.Contains(m, "ddiosimd_verify_failures_total 1\n") {
 		t.Fatalf("after the failing run: stats verify_failures %d, metrics:\n%s", n, m)

@@ -1,6 +1,8 @@
 package tcfs
 
 import (
+	"math/bits"
+
 	"ddio/internal/sim"
 )
 
@@ -15,10 +17,14 @@ const (
 
 // buffer is one block-sized cache frame.
 type buffer struct {
-	block    int // file block held, -1 when free
-	data     []byte
-	written  []bool // per-byte dirty bitmap (write-behind)
-	dirty    int    // count of dirty bytes
+	block   int // file block held, -1 when free
+	data    []byte
+	written byteMask // dirty bytes not yet flushed (write-behind)
+	dirty   int      // count of bits set in written
+	// holes marks a frame installed by a write miss: only its written
+	// bytes are real. A read hit fills the rest from disk first, and a
+	// flush's read-modify-write fills them too.
+	holes    bool
 	state    bufState
 	flushing bool
 	pins     int
@@ -32,11 +38,64 @@ func (b *buffer) reset(blockSize int) {
 	} else {
 		clear(b.data) // keep the frame; a fresh frame reads as zeros
 	}
-	b.written = nil
+	clear(b.written)
 	b.dirty = 0
+	b.holes = false
 	b.state = bufFree
 	b.flushing = false
 	b.pins = 0
+}
+
+// write copies data into the frame at byte off and marks it dirty,
+// reporting whether every byte of the block is now dirty (which also
+// means the frame has no holes left).
+func (b *buffer) write(off int, data []byte) (full bool) {
+	copy(b.data[off:], data)
+	b.dirty += b.written.mark(off, len(data))
+	if b.dirty < len(b.data) {
+		return false
+	}
+	b.holes = false
+	return true
+}
+
+// byteMask is a frame's dirty bitmap: bit i%64 of word i/64 is set when
+// byte i has been written since the last flush.
+type byteMask []uint64
+
+// mark sets the bits of bytes [off, off+n), a word at a time, and
+// returns how many of them were not set before.
+func (m byteMask) mark(off, n int) int {
+	added := 0
+	for end := off + n; off < end; {
+		lo := off & 63
+		k := min(64-lo, end-off) // bits covered in this word
+		w := ^uint64(0) >> (64 - k) << lo
+		added += bits.OnesCount64(w &^ m[off>>6])
+		m[off>>6] |= w
+		off += k
+	}
+	return added
+}
+
+// fill copies src into every byte of dst whose bit is clear, skipping
+// fully written words.
+func (m byteMask) fill(dst, src []byte) {
+	for i, w := range m {
+		if w == ^uint64(0) {
+			continue
+		}
+		lo, hi := i*64, min(i*64+64, len(dst))
+		if w == 0 {
+			copy(dst[lo:hi], src[lo:hi])
+			continue
+		}
+		for j := lo; j < hi; j++ {
+			if w&(1<<(j-lo)) == 0 {
+				dst[j] = src[j]
+			}
+		}
+	}
 }
 
 // blockCache is an IOP's block cache: a fixed pool of buffers indexed by
@@ -64,8 +123,10 @@ func newBlockCache(s *Server, frames, blockSize int) *blockCache {
 		frames = 2
 	}
 	c.bufs = make([]*buffer, frames)
+	words := (blockSize + 63) / 64
+	masks := make(byteMask, frames*words) // every frame's bitmap, one allocation
 	for i := range c.bufs {
-		c.bufs[i] = &buffer{}
+		c.bufs[i] = &buffer{written: masks[i*words : (i+1)*words : (i+1)*words]}
 		c.bufs[i].reset(blockSize)
 	}
 	return c
@@ -82,15 +143,20 @@ func (c *blockCache) noteOccupancy(t sim.Time) {
 }
 
 // getRead returns a pinned, valid buffer holding block, reading it from
-// disk on a miss. The caller must unpin.
+// disk on a miss or to fill the holes of a partially written frame. The
+// caller must unpin.
 func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
 	for {
 		if b := c.index[block]; b != nil {
 			b.pins++
-			for b.state == bufReading {
+			// A flush of a frame with holes fills them; wait for it.
+			for b.state == bufReading || (b.holes && b.flushing) {
 				c.changed.Wait(p)
 			}
 			if b.block == block && b.state == bufValid {
+				if b.holes {
+					c.fillHoles(p, b)
+				}
 				b.lastUse = p.Now()
 				c.s.m2.CacheHits++
 				return b
@@ -122,9 +188,9 @@ func (c *blockCache) getRead(p *sim.Proc, block int) *buffer {
 }
 
 // getWrite returns a pinned buffer for writing into block. On a miss no
-// disk read happens: a fresh frame with a dirty bitmap is installed
-// (write-behind merges with disk content at flush time if the block is
-// never fully overwritten).
+// disk read happens: a fresh frame with holes is installed (a read hit
+// or the write-behind flush fills them from disk if the block is never
+// fully overwritten).
 func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 	for {
 		if b := c.index[block]; b != nil {
@@ -135,9 +201,6 @@ func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 			if b.block == block && b.state == bufValid {
 				b.lastUse = p.Now()
 				c.s.m2.CacheHits++
-				if b.written == nil {
-					b.written = make([]bool, c.blockSize)
-				}
 				return b
 			}
 			b.pins--
@@ -150,7 +213,7 @@ func (c *blockCache) getWrite(p *sim.Proc, block int) *buffer {
 		}
 		b.block = block
 		b.state = bufValid
-		b.written = make([]bool, c.blockSize)
+		b.holes = true
 		b.pins++
 		b.lastUse = p.Now()
 		c.index[block] = b
@@ -212,23 +275,43 @@ func (c *blockCache) acquire(p *sim.Proc) *buffer {
 	}
 }
 
+// fillHoles reads a write-installed frame's block from disk and fills
+// the bytes no write has covered, so a read hit returns real data. The
+// frame is marked reading meanwhile: other readers and writers wait, and
+// neither eviction nor a flush can start on it.
+func (c *blockCache) fillHoles(p *sim.Proc, b *buffer) {
+	b.state = bufReading
+	c.s.m2.PartialRMW++
+	diskData := c.s.diskReadBlock(p, b.block)
+	if b.holes { // a write that covered the rest of the block cleared it
+		b.written.fill(b.data, diskData)
+		b.holes = false
+	}
+	c.s.diskFor(b.block).Recycle(diskData)
+	b.state = bufValid
+	c.changed.Broadcast()
+}
+
 // flush writes a dirty buffer to disk, merging with existing disk
-// content first when the block was only partially overwritten.
+// content first when the block was only partially overwritten; the
+// merge also fills the frame's holes.
 func (c *blockCache) flush(p *sim.Proc, b *buffer) {
 	b.flushing = true
 	c.s.m2.Flushes++
 	dd := c.s.diskFor(b.block)
 	data := dd.Buffer(c.blockSize)
-	copy(data, b.data) // full-frame copy: no stale pool bytes survive
 	if b.dirty < c.blockSize {
 		c.s.m2.PartialRMW++
 		diskData := c.s.diskReadBlock(p, b.block)
-		for i, w := range b.written {
-			if !w {
-				data[i] = diskData[i]
-			}
-		}
+		copy(data, b.data)
+		b.written.fill(data, diskData)
 		dd.Recycle(diskData)
+		if b.holes {
+			copy(b.data, data)
+			b.holes = false
+		}
+	} else {
+		copy(data, b.data) // full-frame copy: no stale pool bytes survive
 	}
 	dirtyAtSubmit := b.dirty
 	c.s.diskWriteBlock(p, b.block, data)
@@ -236,9 +319,7 @@ func (c *blockCache) flush(p *sim.Proc, b *buffer) {
 	// Bytes written while the flush was in flight stay dirty.
 	if dirtyAtSubmit == b.dirty {
 		b.dirty = 0
-		for i := range b.written {
-			b.written[i] = false
-		}
+		clear(b.written)
 	}
 	b.flushing = false
 	c.changed.Broadcast()

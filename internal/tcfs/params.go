@@ -85,7 +85,7 @@ type Metrics struct {
 	CacheMiss     int64
 	Prefetches    int64
 	Flushes       int64
-	PartialRMW    int64 // partial-block flushes needing read-modify-write
+	PartialRMW    int64 // disk reads merged into partially written frames (flush or read hit)
 	DiskRetries   int64 // disk-request resubmissions after transient failures
 	DiskRecovered int64 // failed requests that a retry eventually completed
 	DiskLost      int64 // requests still failing after the retry budget

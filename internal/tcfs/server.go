@@ -226,19 +226,12 @@ func (s *Server) handleWrite(h *sim.Proc, r *request) {
 	// The only memory-memory copy in the system (paper §4): from the
 	// handler's message buffer into the cache frame.
 	s.node.CPU.UseFor(h, s.prm.CopyPerByte*time.Duration(r.n))
-	copy(b.data[r.off:r.off+r.n], r.data)
-	for i := r.off; i < r.off+r.n; i++ {
-		if !b.written[i] {
-			b.written[i] = true
-			b.dirty++
-		}
-	}
-	full := b.dirty == s.f.BlockSize
+	full := b.write(r.off, r.data)
 	// Ack before the write-behind happens: the data is safely cached.
 	r.srv = s
 	s.node.CPU.UseFor(h, s.prm.ReplySendCPU)
 	s.m.SendC(s.node, r.src, 0, 0, r.token(reqWriteAck))
-	if full && !b.flushing {
+	if full && !b.flushing && b.state == bufValid { // not while a read fills its holes
 		s.cache.flush(h, b)
 	}
 	s.cache.unpin(b)
