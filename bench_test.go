@@ -9,6 +9,7 @@
 package ddio_test
 
 import (
+	"io"
 	"testing"
 
 	"ddio"
@@ -334,4 +335,65 @@ func BenchmarkSimulatorDeepQueue(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Events), "events/op")
 	}
+}
+
+// tracedHTMLConfig is the heaviest traced run served-mix requests: TC,
+// the cyclic pattern, 8-byte records, 1 MiB, which records 656,256
+// trace events over 131,072 requests.
+func tracedHTMLConfig() ddio.Config {
+	cfg := ddio.DefaultConfig()
+	cfg.FileBytes = ddio.MiB
+	cfg.Method = ddio.TraditionalCaching
+	cfg.Pattern = "rc"
+	cfg.RecordSize = 8
+	cfg.Verify = false
+	return cfg
+}
+
+// BenchmarkTracedRunHTML is the traced-run-to-HTML path a user waits on
+// (ddiosim -tracehtml, POST /v1/runs?trace=html): record every event of
+// tracedHTMLConfig, then render the viewer. events/op must equal the
+// untraced run's count exactly — the recorder is passive — and CI pins
+// it.
+func BenchmarkTracedRunHTML(b *testing.B) {
+	cfg := tracedHTMLConfig()
+	for i := 0; i < b.N; i++ {
+		res, rec, err := ddio.TracedRun(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := rec.WriteHTML(io.Discard, "bench"); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportMetric(float64(res.Events), "events/op")
+		b.ReportMetric(float64(rec.Len()), "trace-events/op")
+	}
+}
+
+// benchTraceWriter times one trace emitter on the tracedHTMLConfig
+// trace, recorded once outside the timer.
+func benchTraceWriter(b *testing.B, write func(*ddio.TraceRecorder, io.Writer) error) {
+	_, rec, err := ddio.TracedRun(tracedHTMLConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := write(rec, io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(rec.Len()), "trace-events/op")
+}
+
+// BenchmarkTraceWriteHTML is the viewer alone (-tracehtml, ?trace=html).
+func BenchmarkTraceWriteHTML(b *testing.B) {
+	benchTraceWriter(b, func(rec *ddio.TraceRecorder, w io.Writer) error { return rec.WriteHTML(w, "bench") })
+}
+
+// BenchmarkTraceWriteJSONL is the JSON Lines emitter (-trace,
+// ?trace=jsonl).
+func BenchmarkTraceWriteJSONL(b *testing.B) {
+	benchTraceWriter(b, (*ddio.TraceRecorder).WriteJSONL)
 }

@@ -20,6 +20,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -495,7 +496,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		var buf strings.Builder
+		var buf bytes.Buffer
 		ctype := "application/x-ndjson"
 		if traceFmt == "html" {
 			// The explorable trace viewer — byte-identical to the page
@@ -510,7 +511,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 			httpError(w, http.StatusInternalServerError, err)
 			return
 		}
-		body := []byte(buf.String())
+		body := buf.Bytes()
 		j.finish(body, ctype, 1, 0, nil)
 		s.httpm.countResponse("runs", traceFmt)
 		w.Header().Set("X-Job-ID", j.snapshot().ID)

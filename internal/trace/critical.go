@@ -19,6 +19,8 @@ package trace
 // while this request waited", not "which microsecond belonged to whom".
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,11 +49,8 @@ func mergeIntervals(ivs []Interval) intervalSet {
 	if len(ivs) == 0 {
 		return nil
 	}
-	sort.Slice(ivs, func(i, j int) bool {
-		if ivs[i].Start != ivs[j].Start {
-			return ivs[i].Start < ivs[j].Start
-		}
-		return ivs[i].End < ivs[j].End
+	slices.SortFunc(ivs, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
 	out := ivs[:1]
 	for _, iv := range ivs[1:] {
@@ -106,14 +105,39 @@ func poolNode(pool string) string {
 // trace, in trace order. The result is deterministic: a pure function
 // of the (deterministic) event stream.
 func (r *Recorder) CriticalPaths() []CriticalPath {
-	if r == nil {
-		return nil
+	var out []CriticalPath
+	var u *pathUnions
+	for e := range r.all() {
+		if e.Kind != KindReqEnd {
+			continue
+		}
+		if u == nil {
+			u = r.pathUnions()
+		}
+		out = append(out, u.decompose(e))
 	}
+	return out
+}
+
+// pathUnions are the merged activity unions a request window is cut
+// against: every disk's service intervals, and per server node its
+// retry backoffs and its service pools' busy intervals. Building them
+// is one pass over the trace; decomposing a request afterwards touches
+// only the union edges inside its window, so a caller that wants a few
+// requests' paths (the viewer's slowest-N table) need not decompose
+// them all.
+type pathUnions struct {
+	disk        intervalSet
+	retry, pool map[string]intervalSet
+	edges       []int64 // decompose's scratch
+}
+
+// pathUnions builds the unions from the recorded trace.
+func (r *Recorder) pathUnions() *pathUnions {
 	var diskIvs []Interval
 	retryIvs := map[string][]Interval{}
 	poolIvs := map[string][]Interval{}
-	nReq := 0
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		switch e.Kind {
 		case KindDiskService:
 			diskIvs = append(diskIvs, Interval{Start: e.T, End: e.End})
@@ -122,60 +146,56 @@ func (r *Recorder) CriticalPaths() []CriticalPath {
 		case KindPoolBusy:
 			n := poolNode(e.Node)
 			poolIvs[n] = append(poolIvs[n], Interval{Start: e.T, End: e.End})
-		case KindReqEnd:
-			nReq++
 		}
 	}
-	if nReq == 0 {
-		return nil
+	u := &pathUnions{
+		disk:  mergeIntervals(diskIvs),
+		retry: make(map[string]intervalSet, len(retryIvs)),
+		pool:  make(map[string]intervalSet, len(poolIvs)),
 	}
-	disk := mergeIntervals(diskIvs)
-	retry := make(map[string]intervalSet, len(retryIvs))
 	for n, ivs := range retryIvs {
-		retry[n] = mergeIntervals(ivs)
+		u.retry[n] = mergeIntervals(ivs)
 	}
-	pool := make(map[string]intervalSet, len(poolIvs))
 	for n, ivs := range poolIvs {
-		pool[n] = mergeIntervals(ivs)
+		u.pool[n] = mergeIntervals(ivs)
 	}
+	return u
+}
 
-	out := make([]CriticalPath, 0, nReq)
-	var edges []int64
-	for _, e := range r.Events() {
-		if e.Kind != KindReqEnd {
+// decompose splits request e's (a KindReqEnd event) latency window into
+// the four buckets.
+func (u *pathUnions) decompose(e *Event) CriticalPath {
+	cp := CriticalPath{Node: e.Node, ID: e.ID, Start: e.T, End: e.End}
+	if e.End <= e.T {
+		return cp
+	}
+	// Boundary sweep: cut the window at every union edge inside it, then
+	// classify each elementary segment by its midpoint in priority
+	// order. Segments partition the window, so the four buckets sum to
+	// the latency exactly.
+	retry, pool := u.retry[e.Node], u.pool[e.Node]
+	edges := append(u.edges[:0], e.T, e.End)
+	edges = u.disk.edgesWithin(e.T, e.End, edges)
+	edges = retry.edgesWithin(e.T, e.End, edges)
+	edges = pool.edgesWithin(e.T, e.End, edges)
+	slices.Sort(edges)
+	for i := 1; i < len(edges); i++ {
+		a, b := edges[i-1], edges[i]
+		if b <= a {
 			continue
 		}
-		cp := CriticalPath{Node: e.Node, ID: e.ID, Start: e.T, End: e.End}
-		if e.End > e.T {
-			// Boundary sweep: cut the window at every union edge inside
-			// it, then classify each elementary segment by its midpoint
-			// in priority order. Segments partition the window, so the
-			// four buckets sum to the latency exactly.
-			edges = edges[:0]
-			edges = append(edges, e.T, e.End)
-			edges = disk.edgesWithin(e.T, e.End, edges)
-			edges = retry[e.Node].edgesWithin(e.T, e.End, edges)
-			edges = pool[e.Node].edgesWithin(e.T, e.End, edges)
-			sort.Slice(edges, func(i, j int) bool { return edges[i] < edges[j] })
-			for i := 1; i < len(edges); i++ {
-				a, b := edges[i-1], edges[i]
-				if b <= a {
-					continue
-				}
-				mid := a + (b-a)/2
-				switch {
-				case disk.covers(mid):
-					cp.Disk += b - a
-				case retry[e.Node].covers(mid):
-					cp.Retry += b - a
-				case pool[e.Node].covers(mid):
-					cp.Service += b - a
-				default:
-					cp.Queue += b - a
-				}
-			}
+		mid := a + (b-a)/2
+		switch {
+		case u.disk.covers(mid):
+			cp.Disk += b - a
+		case retry.covers(mid):
+			cp.Retry += b - a
+		case pool.covers(mid):
+			cp.Service += b - a
+		default:
+			cp.Queue += b - a
 		}
-		out = append(out, cp)
 	}
-	return out
+	u.edges = edges
+	return cp
 }

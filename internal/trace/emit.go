@@ -27,54 +27,76 @@ var kindFields = [...]fieldSet{
 	KindRetry:       {end: true, depth: true},
 }
 
-// jsonEvent is Event's wire form: stable snake_case keys; pointer
-// fields appear exactly when the event's kind populates them.
-type jsonEvent struct {
-	Seq   int64  `json:"seq"`
-	Kind  string `json:"kind"`
-	T     int64  `json:"t_ns"`
-	End   *int64 `json:"end_ns,omitempty"`
-	Node  string `json:"node,omitempty"`
-	Peer  string `json:"peer,omitempty"`
-	Write *bool  `json:"write,omitempty"`
-	Bytes *int64 `json:"bytes,omitempty"`
-	Depth *int64 `json:"depth,omitempty"`
-	Cyls  *int64 `json:"cyls,omitempty"`
-	ID    *int64 `json:"id,omitempty"`
-}
-
 // WriteJSONL writes the trace as JSON Lines: one event object per line,
-// in seq order. Identical runs produce byte-identical output.
+// in seq order, with stable snake_case keys. Identical runs produce
+// byte-identical output. Each line is appended into one reused buffer,
+// byte for byte what encoding/json would encode for the object
+//
+//	{"seq", "kind", "t_ns", "end_ns", "node", "peer", "write", "bytes", "depth", "cyls", "id"}
+//
+// where node and peer are omitted when empty and the optional fields
+// appear exactly when the event's kind populates them.
 func (r *Recorder) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw) // Encode appends the newline per event
-	for i := range r.Events() {
-		e := &r.Events()[i]
+	var buf []byte
+	for e := range r.all() {
 		fs := kindFields[e.Kind]
-		je := jsonEvent{Seq: e.Seq, Kind: e.Kind.String(), T: e.T, Node: e.Node, Peer: e.Peer}
+		buf = append(buf[:0], `{"seq":`...)
+		buf = strconv.AppendInt(buf, e.Seq, 10)
+		buf = append(buf, `,"kind":`...)
+		buf = appendJSONString(buf, e.Kind.String())
+		buf = append(buf, `,"t_ns":`...)
+		buf = strconv.AppendInt(buf, e.T, 10)
 		if fs.end {
-			je.End = &e.End
+			buf = append(buf, `,"end_ns":`...)
+			buf = strconv.AppendInt(buf, e.End, 10)
+		}
+		if e.Node != "" {
+			buf = append(buf, `,"node":`...)
+			buf = appendJSONString(buf, e.Node)
+		}
+		if e.Peer != "" {
+			buf = append(buf, `,"peer":`...)
+			buf = appendJSONString(buf, e.Peer)
 		}
 		if fs.write {
-			je.Write = &e.Write
+			buf = append(buf, `,"write":`...)
+			buf = strconv.AppendBool(buf, e.Write)
 		}
-		if fs.bytes {
-			je.Bytes = &e.Bytes
-		}
-		if fs.depth {
-			je.Depth = &e.Depth
-		}
-		if fs.cyls {
-			je.Cyls = &e.Cyls
-		}
-		if fs.id {
-			je.ID = &e.ID
-		}
-		if err := enc.Encode(&je); err != nil {
+		buf = appendJSONField(buf, `,"bytes":`, e.Bytes, fs.bytes)
+		buf = appendJSONField(buf, `,"depth":`, e.Depth, fs.depth)
+		buf = appendJSONField(buf, `,"cyls":`, e.Cyls, fs.cyls)
+		buf = appendJSONField(buf, `,"id":`, e.ID, fs.id)
+		buf = append(buf, "}\n"...)
+		if _, err := bw.Write(buf); err != nil {
 			return err
 		}
 	}
 	return bw.Flush()
+}
+
+// appendJSONField appends key and v when the kind uses the field.
+func appendJSONField(buf []byte, key string, v int64, used bool) []byte {
+	if !used {
+		return buf
+	}
+	return strconv.AppendInt(append(buf, key...), v, 10)
+}
+
+// appendJSONString appends s as a JSON string. Component and kind names
+// are plain ASCII and are copied between quotes; any other string takes
+// encoding/json's own escaping (HTML-safe, as json.Encoder writes it),
+// so the output matches encoding/json byte for byte either way.
+func appendJSONString(buf []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always marshals
+			return append(buf, b...)
+		}
+	}
+	buf = append(buf, '"')
+	buf = append(buf, s...)
+	return append(buf, '"')
 }
 
 // csvHeader is the long-format column set; every event is one row, with
@@ -90,7 +112,7 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 		return err
 	}
 	var buf []byte
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		fs := kindFields[e.Kind]
 		buf = buf[:0]
 		buf = strconv.AppendInt(buf, e.Seq, 10)

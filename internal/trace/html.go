@@ -15,11 +15,12 @@ package trace
 // slowest requests (the interesting tail; the total is still shown).
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"html"
 	"io"
-	"sort"
+	"slices"
 
 	"ddio/internal/stats"
 )
@@ -74,97 +75,77 @@ type htmlData struct {
 	TotalReqs    int            `json:"total_requests"`
 }
 
-// coalesce merges busy intervals separated by less than gap ns —
-// sub-pixel idle slivers that would only bloat the page.
-func coalesce(ivs []Interval, gap int64) []Interval {
-	if len(ivs) == 0 {
-		return ivs
-	}
-	out := ivs[:1]
-	for _, iv := range ivs[1:] {
-		last := &out[len(out)-1]
-		if iv.Start-last.End < gap {
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}
-
-// htmlTimelines converts Timelines to the wire rows, coalescing gaps
-// below horizon/2000.
+// htmlTimelines converts Timelines to the wire rows, merging busy
+// intervals separated by less than horizon/2000 — sub-pixel idle
+// slivers that would only bloat the page. The timelines are not
+// modified.
 func htmlTimelines(tls []Timeline, horizon int64) []htmlTimeline {
 	gap := horizon / 2000
 	out := make([]htmlTimeline, len(tls))
 	for i, tl := range tls {
-		row := htmlTimeline{Name: tl.Name, Util: tl.Util, Spans: []htmlSpan{}}
-		for _, iv := range coalesce(tl.Busy, gap) {
-			row.Spans = append(row.Spans, htmlSpan{S: float64(iv.Start) / 1e6, E: float64(iv.End) / 1e6})
+		var spans []Interval
+		for _, iv := range tl.Busy {
+			if n := len(spans); n > 0 && iv.Start-spans[n-1].End < gap {
+				spans[n-1].End = max(spans[n-1].End, iv.End)
+				continue
+			}
+			spans = append(spans, iv)
+		}
+		row := htmlTimeline{Name: tl.Name, Util: tl.Util, Spans: make([]htmlSpan, len(spans))}
+		for k, iv := range spans {
+			row.Spans[k] = htmlSpan{S: float64(iv.Start) / 1e6, E: float64(iv.End) / 1e6}
 		}
 		out[i] = row
 	}
 	return out
 }
 
-// WriteHTML writes the self-contained trace viewer page.
+// WriteHTML writes the self-contained trace viewer page. The horizon and
+// the disk timelines are computed once and shared by every view that
+// needs them, and only the requests the table shows are decomposed.
 func (r *Recorder) WriteHTML(w io.Writer, title string) error {
 	horizon := r.End()
+	bin := defaultBin(horizon, 0)
+	disks := r.DiskTimelines(horizon)
 	d := htmlData{
 		Title:        title,
 		HorizonMs:    float64(horizon) / 1e6,
 		Events:       r.Len(),
-		MeanDiskUtil: r.MeanDiskUtilization(horizon),
+		MeanDiskUtil: meanUtil(disks),
 		Latency:      r.RequestLatencies(),
-		Disks:        htmlTimelines(r.DiskTimelines(horizon), horizon),
 		Pools:        htmlTimelines(r.PoolTimelines(horizon), horizon),
 		Requests:     []htmlRequest{},
 	}
-	util := r.UtilizationSeries(0)
-	bw := r.BandwidthSeries(0)
+	util := utilizationSeries(disks, horizon, bin)
+	d.Disks = htmlTimelines(disks, horizon)
+	bw := r.BandwidthSeries(bin)
 	for i := range bw.Y {
 		bw.Y[i] /= 1 << 20 // bytes/s → MiB/s
 	}
 	bw.Name = "disk bandwidth (MB/s)"
-	occ := r.OccupancySeries(0)
+	occ := r.OccupancySeries(bin)
 	d.Series = append(d.Series, toHTMLSeries(util), toHTMLSeries(bw), toHTMLSeries(occ))
-	for _, qs := range r.QueueDepthSeries(0) {
+	for _, qs := range r.QueueDepthSeries(bin) {
 		d.Series = append(d.Series, toHTMLSeries(qs))
 	}
 
-	paths := r.CriticalPaths()
-	d.TotalReqs = len(paths)
-	// Keep the slowest requests, deterministically ordered: duration
-	// desc, then node, id, start asc.
-	sort.SliceStable(paths, func(i, j int) bool {
-		di, dj := paths[i].End-paths[i].Start, paths[j].End-paths[j].Start
-		if di != dj {
-			return di > dj
+	var slowest []*Event
+	slowest, d.TotalReqs = r.slowestRequests(htmlMaxRequests)
+	if len(slowest) > 0 {
+		u := r.pathUnions()
+		for _, e := range slowest {
+			p := u.decompose(e)
+			d.Requests = append(d.Requests, htmlRequest{
+				Node:    p.Node,
+				ID:      p.ID,
+				Start:   float64(p.Start) / 1e6,
+				Latency: float64(p.End-p.Start) / 1e6,
+				Disk:    float64(p.Disk) / 1e6,
+				Retry:   float64(p.Retry) / 1e6,
+				Service: float64(p.Service) / 1e6,
+				Queue:   float64(p.Queue) / 1e6,
+			})
 		}
-		if paths[i].Node != paths[j].Node {
-			return paths[i].Node < paths[j].Node
-		}
-		if paths[i].ID != paths[j].ID {
-			return paths[i].ID < paths[j].ID
-		}
-		return paths[i].Start < paths[j].Start
-	})
-	if len(paths) > htmlMaxRequests {
-		paths = paths[:htmlMaxRequests]
-	}
-	for _, p := range paths {
-		d.Requests = append(d.Requests, htmlRequest{
-			Node:    p.Node,
-			ID:      p.ID,
-			Start:   float64(p.Start) / 1e6,
-			Latency: float64(p.End-p.Start) / 1e6,
-			Disk:    float64(p.Disk) / 1e6,
-			Retry:   float64(p.Retry) / 1e6,
-			Service: float64(p.Service) / 1e6,
-			Queue:   float64(p.Queue) / 1e6,
-		})
 	}
 
 	blob, err := json.Marshal(&d) // json.Marshal escapes <>& — safe inside <script>
@@ -175,6 +156,64 @@ func (r *Recorder) WriteHTML(w io.Writer, title string) error {
 		return err
 	}
 	return nil
+}
+
+// slowerRequest orders completed requests for the viewer's table:
+// duration descending, then node, id and start ascending, then trace
+// order, so the order is total and deterministic.
+func slowerRequest(a, b *Event) int {
+	return cmp.Or(
+		cmp.Compare(b.End-b.T, a.End-a.T),
+		cmp.Compare(a.Node, b.Node),
+		cmp.Compare(a.ID, b.ID),
+		cmp.Compare(a.T, b.T),
+		cmp.Compare(a.Seq, b.Seq),
+	)
+}
+
+// slowestRequests returns the k first KindReqEnd events in slowerRequest
+// order, in that order, and the total number of completed requests. It
+// keeps a bounded heap whose root is the fastest request kept so far,
+// so a trace of n requests costs O(n log k), not a sort of all n.
+func (r *Recorder) slowestRequests(k int) ([]*Event, int) {
+	var h []*Event
+	total := 0
+	for e := range r.all() {
+		if e.Kind != KindReqEnd {
+			continue
+		}
+		total++
+		switch {
+		case len(h) < k:
+			h = append(h, e)
+			for i := len(h) - 1; i > 0; {
+				p := (i - 1) / 2
+				if slowerRequest(h[i], h[p]) <= 0 {
+					break
+				}
+				h[i], h[p] = h[p], h[i]
+				i = p
+			}
+		case slowerRequest(e, h[0]) < 0:
+			h[0] = e
+			for i := 0; ; {
+				c := 2*i + 1
+				if c >= len(h) {
+					break
+				}
+				if c+1 < len(h) && slowerRequest(h[c+1], h[c]) > 0 {
+					c++
+				}
+				if slowerRequest(h[c], h[i]) <= 0 {
+					break
+				}
+				h[i], h[c] = h[c], h[i]
+				i = c
+			}
+		}
+	}
+	slices.SortFunc(h, slowerRequest)
+	return h, total
 }
 
 // toHTMLSeries converts a Series to wire form (bin in ms).

@@ -31,21 +31,6 @@ type Series struct {
 	Y    []float64
 }
 
-// End returns the time of the last event edge in the trace (the natural
-// plotting horizon), 0 for an empty trace.
-func (r *Recorder) End() int64 {
-	var end int64
-	for _, e := range r.Events() {
-		if e.T > end {
-			end = e.T
-		}
-		if e.End > end {
-			end = e.End
-		}
-	}
-	return end
-}
-
 // DiskTimelines returns one Timeline per disk — the registered disks
 // (see RegisterDisk) in registration order, idle ones included, plus
 // any unregistered disk that recorded service intervals in
@@ -64,7 +49,7 @@ func (r *Recorder) DiskTimelines(horizon int64) []Timeline {
 		index[name] = len(tls)
 		tls = append(tls, Timeline{Name: name})
 	}
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind != KindDiskService {
 			continue
 		}
@@ -76,6 +61,12 @@ func (r *Recorder) DiskTimelines(horizon int64) []Timeline {
 		}
 		tls[i].Busy = append(tls[i].Busy, Interval{Start: e.T, End: e.End})
 	}
+	setUtil(tls, horizon)
+	return tls
+}
+
+// setUtil sets each timeline's Util to its busy time over horizon.
+func setUtil(tls []Timeline, horizon int64) {
 	for i := range tls {
 		var busy int64
 		for _, iv := range tls[i].Busy {
@@ -85,7 +76,6 @@ func (r *Recorder) DiskTimelines(horizon int64) []Timeline {
 			tls[i].Util = float64(busy) / float64(horizon)
 		}
 	}
-	return tls
 }
 
 // MeanDiskUtilization returns the mean of the per-disk utilizations
@@ -94,7 +84,11 @@ func (r *Recorder) DiskTimelines(horizon int64) []Timeline {
 // keeps the disks busy" claim: on the same workload it is high for the
 // disk-directed file system and low for traditional caching.
 func (r *Recorder) MeanDiskUtilization(horizon int64) float64 {
-	tls := r.DiskTimelines(horizon)
+	return meanUtil(r.DiskTimelines(horizon))
+}
+
+// meanUtil is the mean Util of tls, 0 for none.
+func meanUtil(tls []Timeline) float64 {
 	if len(tls) == 0 {
 		return 0
 	}
@@ -111,13 +105,12 @@ func (r *Recorder) MeanDiskUtilization(horizon int64) float64 {
 // picks 1/100 of the horizon.
 func (r *Recorder) UtilizationSeries(bin int64) Series {
 	horizon := r.End()
-	if bin <= 0 {
-		bin = horizon / 100
-		if bin <= 0 {
-			bin = 1
-		}
-	}
-	tls := r.DiskTimelines(horizon)
+	return utilizationSeries(r.DiskTimelines(horizon), horizon, defaultBin(horizon, bin))
+}
+
+// utilizationSeries is UtilizationSeries over precomputed disk
+// timelines.
+func utilizationSeries(tls []Timeline, horizon, bin int64) Series {
 	s := Series{Name: "disk utilization", Bin: bin, Y: make([]float64, numBins(horizon, bin))}
 	if len(tls) == 0 {
 		return s
@@ -131,6 +124,15 @@ func (r *Recorder) UtilizationSeries(bin int64) Series {
 		s.Y[i] /= float64(binWidth(i, horizon, bin)) * float64(len(tls))
 	}
 	return s
+}
+
+// defaultBin returns bin, or 1/100 of the horizon (at least 1 ns) when
+// bin <= 0.
+func defaultBin(horizon, bin int64) int64 {
+	if bin > 0 {
+		return bin
+	}
+	return max(horizon/100, 1)
 }
 
 // numBins returns how many bins of width bin cover [0, horizon].
@@ -157,14 +159,9 @@ func binWidth(i int, horizon, bin int64) int64 {
 // the bins it overlaps. bin <= 0 picks 1/100 of the horizon.
 func (r *Recorder) BandwidthSeries(bin int64) Series {
 	horizon := r.End()
-	if bin <= 0 {
-		bin = horizon / 100
-		if bin <= 0 {
-			bin = 1
-		}
-	}
+	bin = defaultBin(horizon, bin)
 	s := Series{Name: "disk bandwidth", Bin: bin, Y: make([]float64, numBins(horizon, bin))}
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind != KindDiskService || e.Bytes == 0 {
 			continue
 		}
@@ -210,7 +207,7 @@ func spread(bins []float64, bin, start, end int64, total float64) {
 // from KindReqEnd events, with the p50/p90/p99 fields populated.
 func (r *Recorder) RequestLatencies() stats.Summary {
 	var xs []float64
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind == KindReqEnd {
 			xs = append(xs, float64(e.End-e.T)/1e9)
 		}
@@ -225,15 +222,10 @@ func (r *Recorder) RequestLatencies() stats.Summary {
 // the horizon.
 func (r *Recorder) QueueDepthSeries(bin int64) []Series {
 	horizon := r.End()
-	if bin <= 0 {
-		bin = horizon / 100
-		if bin <= 0 {
-			bin = 1
-		}
-	}
+	bin = defaultBin(horizon, bin)
 	n := numBins(horizon, bin)
 	samples := make([][]float64, n)
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind != KindDiskQueue {
 			continue
 		}
@@ -243,25 +235,17 @@ func (r *Recorder) QueueDepthSeries(bin int64) []Series {
 		}
 		samples[i] = append(samples[i], float64(e.Depth))
 	}
-	quantiles := []struct {
-		name string
-		q    float64
-	}{
-		{"queue depth p50", 0.50},
-		{"queue depth p90", 0.90},
-		{"queue depth p99", 0.99},
+	out := []Series{
+		{Name: "queue depth p50", Bin: bin, Y: make([]float64, n)},
+		{Name: "queue depth p90", Bin: bin, Y: make([]float64, n)},
+		{Name: "queue depth p99", Bin: bin, Y: make([]float64, n)},
 	}
-	out := make([]Series, len(quantiles))
-	for k, qq := range quantiles {
-		s := Series{Name: qq.name, Bin: bin, Y: make([]float64, n)}
-		var last float64
-		for i := range s.Y {
-			if len(samples[i]) > 0 {
-				last = stats.Quantile(samples[i], qq.q)
-			}
-			s.Y[i] = last
+	var p50, p90, p99 float64
+	for i := range samples {
+		if len(samples[i]) > 0 {
+			p50, p90, p99 = stats.Percentiles(samples[i])
 		}
-		out[k] = s
+		out[0].Y[i], out[1].Y[i], out[2].Y[i] = p50, p90, p99
 	}
 	return out
 }
@@ -272,16 +256,11 @@ func (r *Recorder) QueueDepthSeries(bin int64) []Series {
 // <= 0 picks 1/100 of the horizon.
 func (r *Recorder) OccupancySeries(bin int64) Series {
 	horizon := r.End()
-	if bin <= 0 {
-		bin = horizon / 100
-		if bin <= 0 {
-			bin = 1
-		}
-	}
+	bin = defaultBin(horizon, bin)
 	n := numBins(horizon, bin)
 	sum := make([]float64, n)
 	cnt := make([]int, n)
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind != KindBuffer || e.Depth <= 0 {
 			continue
 		}
@@ -317,7 +296,7 @@ func (r *Recorder) PoolTimelines(horizon int64) []Timeline {
 	}
 	index := map[string]int{}
 	var tls []Timeline
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind != KindPoolBusy {
 			continue
 		}
@@ -331,14 +310,8 @@ func (r *Recorder) PoolTimelines(horizon int64) []Timeline {
 	}
 	for i := range tls {
 		tls[i].Busy = mergeIntervals(tls[i].Busy)
-		var busy int64
-		for _, iv := range tls[i].Busy {
-			busy += iv.End - iv.Start
-		}
-		if horizon > 0 {
-			tls[i].Util = float64(busy) / float64(horizon)
-		}
 	}
+	setUtil(tls, horizon)
 	return tls
 }
 
@@ -354,7 +327,7 @@ func (r *Recorder) LinkTotals() []LinkTotal {
 	type key struct{ src, dst string }
 	index := map[key]int{}
 	var out []LinkTotal
-	for _, e := range r.Events() {
+	for e := range r.all() {
 		if e.Kind != KindNetMsg {
 			continue
 		}

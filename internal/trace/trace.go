@@ -8,12 +8,12 @@
 // every disk continuously busy while traditional caching leaves them
 // idle between cache misses — made observable.
 //
-// The recorder is strictly passive: it appends records to a slice and
-// never touches the event queue, so an instrumented run fires the same
-// events at the same virtual times as an uninstrumented one (pinned by
-// TestTracingDoesNotPerturbRun). All record methods are nil-safe no-ops,
-// so instrumentation points cost one nil check when tracing is off —
-// no allocations, no closures, no interface boxing. Times are plain
+// The recorder is strictly passive: it appends records to chunked
+// storage and never touches the event queue, so an instrumented run
+// fires the same events at the same virtual times as an uninstrumented
+// one (pinned by TestTracingDoesNotPerturbRun). All record methods are
+// nil-safe no-ops, so instrumentation points cost one nil check when
+// tracing is off — no allocations, no closures, no interface boxing. Times are plain
 // int64 nanoseconds of virtual time (sim.Time's representation) so this
 // package has no simulator dependency and the kernel itself can import
 // it.
@@ -24,6 +24,8 @@
 // Recorder must be attached to at most one run at a time — it is not
 // safe for concurrent use from a parallel Runner pool.
 package trace
+
+import "iter"
 
 // Kind classifies one trace event.
 type Kind uint8
@@ -111,11 +113,25 @@ type Event struct {
 // Recorder accumulates trace events for one run. The zero value is
 // ready to use; a nil *Recorder is a valid "tracing off" recorder whose
 // record methods all no-op.
+//
+// Events live in chunks that are allocated at their final capacity and
+// never grow, so recording never copies an event already stored and a
+// stored event never moves. Chunk capacities double from minChunk up to
+// maxChunk, so a short filtered trace stays small while a full trace of
+// a long run pays one allocation per maxChunk events.
 type Recorder struct {
-	events []Event
+	chunks [][]Event
+	n      int      // events recorded
+	end    int64    // latest event edge (End's value)
 	disks  []string // registered disks, in construction order
 	mask   uint32   // kind-filter bitmask; 0 records every kind
 }
+
+// Chunk capacities, in events.
+const (
+	minChunk = 64
+	maxChunk = 4096
+)
 
 // RegisterDisk declares a disk before any activity, so a drive that
 // stays completely idle still gets a (zero-utilization) timeline row
@@ -159,22 +175,65 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.events)
+	return r.n
 }
 
-// Events returns the recorded events in seq order. The slice is owned
-// by the recorder; callers must not modify it.
-func (r *Recorder) Events() []Event {
+// End returns the time of the last event edge in the trace (the natural
+// plotting horizon), 0 for an empty trace.
+func (r *Recorder) End() int64 {
 	if r == nil {
+		return 0
+	}
+	return r.end
+}
+
+// Events returns a fresh copy of the recorded events in seq order (nil
+// when there are none). The derived views and emitters read the
+// recorder's storage in place; Events is for callers that want a slice
+// of their own.
+func (r *Recorder) Events() []Event {
+	if r.Len() == 0 {
 		return nil
 	}
-	return r.events
+	out := make([]Event, 0, r.n)
+	for _, c := range r.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
-// add appends one record, stamping its seq.
+// all yields every recorded event in seq order. The pointers address
+// the recorder's storage; callers must not modify through them.
+func (r *Recorder) all() iter.Seq[*Event] {
+	return func(yield func(*Event) bool) {
+		if r == nil {
+			return
+		}
+		for _, c := range r.chunks {
+			for i := range c {
+				if !yield(&c[i]) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// add appends one record, stamping its seq and advancing the horizon.
 func (r *Recorder) add(e Event) {
-	e.Seq = int64(len(r.events))
-	r.events = append(r.events, e)
+	e.Seq = int64(r.n)
+	r.end = max(r.end, e.T, e.End)
+	last := len(r.chunks) - 1
+	if last < 0 || len(r.chunks[last]) == cap(r.chunks[last]) {
+		size := minChunk
+		if last >= 0 {
+			size = min(2*cap(r.chunks[last]), maxChunk)
+		}
+		r.chunks = append(r.chunks, make([]Event, 0, size))
+		last++
+	}
+	r.chunks[last] = append(r.chunks[last], e)
+	r.n++
 }
 
 // DiskService records one disk request's service interval.
