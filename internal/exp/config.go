@@ -8,6 +8,7 @@
 package exp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -220,18 +221,44 @@ func (c *Config) Validate() error {
 			return &ConfigError{Field: "faults", Reason: err.Error(), Err: err}
 		}
 	}
-	if c.Workload.Enabled() {
-		shape := workload.Shape{
-			NCP:        c.NCP,
-			FileBytes:  c.FileBytes,
-			BlockSize:  c.BlockSize,
-			RecordSize: c.RecordSize,
-		}
-		if err := c.Workload.Validate(&shape); err != nil {
+	shape := workload.Shape{
+		NCP:        c.NCP,
+		FileBytes:  c.FileBytes,
+		BlockSize:  c.BlockSize,
+		RecordSize: c.RecordSize,
+	}
+	if err := c.phases().Validate(&shape); err != nil {
+		if c.Workload.Enabled() {
 			return &ConfigError{Field: "workload", Reason: err.Error(), Err: err}
 		}
+		// A classic run's one phase is Pattern: name the field that was set.
+		reason := err.Error()
+		var we *workload.Error
+		if errors.As(err, &we) {
+			reason = we.Reason
+		}
+		return &ConfigError{Field: "pattern", Reason: reason, Err: err}
 	}
 	return nil
+}
+
+// phases returns the workload a run executes: Workload, or for a
+// classic run a single collective phase of Pattern.
+func (c *Config) phases() *workload.Spec {
+	if c.Workload.Enabled() {
+		return c.Workload
+	}
+	return &workload.Spec{Phases: []workload.Phase{{Pattern: c.Pattern}}}
+}
+
+// runName names what a run executes, for titles and error messages:
+// Pattern, or the workload's summary for a workload run (whose Pattern
+// is unused).
+func (c *Config) runName() string {
+	if c.Workload.Enabled() {
+		return c.Workload.Summary()
+	}
+	return c.Pattern
 }
 
 // NumBlocks returns the file length in blocks.

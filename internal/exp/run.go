@@ -16,7 +16,7 @@ import (
 	"ddio/internal/stats"
 	"ddio/internal/tcfs"
 	"ddio/internal/trace"
-	"ddio/internal/twophase"
+	"ddio/internal/workload"
 )
 
 // DiskTotals sums the per-disk metrics of a run.
@@ -162,9 +162,7 @@ func cpProcName(cp int) string {
 
 // machine is the assembled simulated hardware of one run: engine,
 // interconnect, buses, disks, and the striped file — everything below
-// the file-system method. Built identically for classic and workload
-// runs so the substrate streams (layout, jitter, faults) draw the same
-// values either way.
+// the file-system method.
 type machine struct {
 	eng   *sim.Engine
 	rng   *sim.Rand
@@ -254,63 +252,29 @@ func (mc *machine) collectSubstrate(r *Result) {
 	}
 }
 
-// collectTCFrom sums tcfs server counters into the result; shared by
-// the TC and two-phase cases (both run on tcfs servers).
-func collectTCFrom(servers []*tcfs.Server) func(r *Result) {
-	return func(r *Result) {
-		for _, s := range servers {
-			sm := s.Metrics()
-			r.TC.Requests += sm.Requests
-			r.TC.Reads += sm.Reads
-			r.TC.Writes += sm.Writes
-			r.TC.CacheHits += sm.CacheHits
-			r.TC.CacheMiss += sm.CacheMiss
-			r.TC.Prefetches += sm.Prefetches
-			r.TC.Flushes += sm.Flushes
-			r.TC.PartialRMW += sm.PartialRMW
-			r.TC.DiskRetries += sm.DiskRetries
-			r.TC.DiskRecovered += sm.DiskRecovered
-			r.TC.DiskLost += sm.DiskLost
-		}
-	}
-}
-
-// collectDDFrom sums disk-directed server counters into the result.
-func collectDDFrom(servers []*core.Server) func(r *Result) {
-	return func(r *Result) {
-		for _, s := range servers {
-			sm := s.Metrics()
-			r.DD.Requests += sm.Requests
-			r.DD.Blocks += sm.Blocks
-			r.DD.Memputs += sm.Memputs
-			r.DD.Memgets += sm.Memgets
-			r.DD.PartialBlockRMW += sm.PartialBlockRMW
-			r.DD.DiskRetries += sm.DiskRetries
-			r.DD.DiskRecovered += sm.DiskRecovered
-			r.DD.DiskLost += sm.DiskLost
-		}
-	}
-}
-
-// Run executes one experiment: the classic whole-file collective
-// transfer of cfg.Pattern, or — when cfg.Workload is enabled — the
-// declared workload's phases, under the selected method either way.
+// Run executes one experiment under the selected method: the declared
+// workload's phases in order, separated by barriers, or — when
+// cfg.Workload is not enabled — the classic whole-file collective
+// transfer of cfg.Pattern, run as a one-phase workload. A classic run
+// keeps the paper's conventions: MBps is file bytes over elapsed time,
+// Result.Config carries no workload, requests are not timed, and a
+// verification failure names no phase. All workload randomness comes
+// from dedicated "wl:*" sub-streams of the run seed, so the substrate
+// draws are the same either way and results are identical for any
+// worker count.
 func Run(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Workload.Enabled() {
-		return runWorkload(cfg)
+	classic := !cfg.Workload.Enabled()
+	if !classic && cfg.Trace == nil {
+		// Workload runs always time their requests (open-arrival runs are
+		// latency studies): attach a recorder filtered to request-end
+		// events, one retained event per request. Recorders are passive,
+		// so the event sequence and every throughput metric are identical
+		// either way.
+		cfg.Trace = trace.NewFiltered(trace.KindReqEnd)
 	}
-	pat, err := hpf.ParsePattern(cfg.Pattern)
-	if err != nil {
-		return nil, err
-	}
-	dec, err := pat.Decomp(cfg.FileBytes, cfg.RecordSize, cfg.NCP)
-	if err != nil {
-		return nil, err
-	}
-
 	mc, err := buildMachine(&cfg)
 	if err != nil {
 		return nil, err
@@ -318,126 +282,93 @@ func Run(cfg Config) (*Result, error) {
 	defer mc.Close()
 	eng, m, f := mc.eng, mc.m, mc.f
 
-	// Build the file system under test and the per-CP transfer bodies.
-	var runCP func(p *sim.Proc, cp int)
-	var endTime func() sim.Time
-	var collectTC func(r *Result)
-	var collectDD func(r *Result)
-	memBytes := func(cp int) int64 { return dec.CPBytes(cp) }
-
-	switch cfg.Method {
-	case TraditionalCaching:
-		servers := make([]*tcfs.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
-		}
-		client := tcfs.NewClient(m, f, dec, servers, cfg.TC)
-		runCP = func(p *sim.Proc, cp int) { client.TransferCP(p, cp, pat.Write) }
-		endTime = client.EndTime
-		collectTC = collectTCFrom(servers)
-	case DiskDirected, DiskDirectedSort:
-		prm := cfg.DD
-		prm.Presort = cfg.Method == DiskDirectedSort
-		servers := make([]*core.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = core.NewServer(m, m.IOPs[i], f, prm)
-		}
-		client := core.NewClient(m, f, dec, servers, prm)
-		runCP = func(p *sim.Proc, cp int) { client.CollectiveCP(p, cp, pat.Write) }
-		endTime = client.EndTime
-		collectDD = collectDDFrom(servers)
-	case TwoPhase:
-		servers := make([]*tcfs.Server, cfg.NIOP)
-		for i := range servers {
-			servers[i] = tcfs.NewServer(m, m.IOPs[i], f, cfg.NCP, cfg.TC)
-		}
-		client, err := twophase.NewClient(m, f, dec, servers, cfg.TC, cfg.TP)
-		if err != nil {
-			return nil, err
-		}
-		memBytes = client.MemBytes
-		runCP = func(p *sim.Proc, cp int) { client.TransferCP(p, cp, pat.Write) }
-		endTime = client.EndTime
-		collectTC = collectTCFrom(servers)
-	default:
-		return nil, fmt.Errorf("exp: unknown method %v", cfg.Method)
+	res, err := cfg.phases().Resolve(workload.Shape{
+		NCP:        cfg.NCP,
+		FileBytes:  cfg.FileBytes,
+		BlockSize:  cfg.BlockSize,
+		RecordSize: cfg.RecordSize,
+	}, mc.rng)
+	if err != nil {
+		return nil, err
+	}
+	fs, err := newFileSystem(&cfg, mc)
+	if err != nil {
+		return nil, err
 	}
 
-	// Allocate CP memory; writes start with the application data (the
-	// deterministic file image) already in memory.
+	// Bind each phase to a client, stacking per-CP memory in phase
+	// order: the phase's application buffer, then any staging areas.
+	mem := make([]int64, cfg.NCP)
+	appBase := make([][]int64, len(res.Phases))
+	phases := make([]phaseExec, len(res.Phases))
+	for i := range res.Phases {
+		ph := &res.Phases[i]
+		base := place(mem, func(cp int) int64 { return phaseAppBytes(ph, cp) })
+		appBase[i] = base
+		if ph.Collective {
+			phases[i] = fs.collective(ph.Dec, ph.Write, base, mem)
+		} else {
+			phases[i] = fs.stream(ph, base, mem)
+		}
+	}
 	for cp, node := range m.CPs {
-		node.Mem = make([]byte, memBytes(cp))
+		node.Mem = make([]byte, mem[cp])
 	}
-	if pat.Write {
-		for cp, node := range m.CPs {
-			for _, ch := range dec.Chunks(cp) {
-				pfs.FillImage(node.Mem[ch.MemOff:ch.MemOff+ch.Len], ch.FileOff)
-			}
+
+	// Preload the file image when anything reads; seed write buffers
+	// with the image of the ranges they will write (so written bytes
+	// are verifiable end to end).
+	anyRead := false
+	for i := range res.Phases {
+		ph := &res.Phases[i]
+		if (ph.Collective && !ph.Write) || ph.ReadAcc != nil {
+			anyRead = true
 		}
-	} else {
+		fillWrites(ph, appBase[i], m.CPs)
+	}
+	if anyRead {
 		f.Preload()
 	}
 
 	for cp := range m.CPs {
 		cp := cp
 		eng.Go(cpProcName(cp), func(p *sim.Proc) {
-			p.Sleep(cfg.BarrierCost) // collective entry cost (negligible, §3)
-			runCP(p, cp)
+			for i := range phases {
+				p.Sleep(cfg.BarrierCost) // collective entry cost per phase (negligible, §3)
+				phases[i].runCP(p, cp)
+			}
 		})
 	}
 	eng.Run()
 
-	end := endTime()
+	var end sim.Time
+	for i := range phases {
+		if t := phases[i].end(); t > end {
+			end = t
+		}
+	}
 	if end == 0 {
 		return nil, fmt.Errorf("exp: %v/%s did not complete; blocked procs: %v",
-			cfg.Method, cfg.Pattern, eng.BlockedProcs())
+			cfg.Method, cfg.runName(), eng.BlockedProcs())
 	}
 
-	r := &Result{Config: cfg, Elapsed: end.Duration(), Events: eng.Events()}
-	r.MovedBytes = 0
-	for cp := 0; cp < cfg.NCP; cp++ {
-		r.MovedBytes += dec.CPBytes(cp)
-	}
+	r := &Result{Config: cfg, Elapsed: end.Duration(), Events: eng.Events(), MovedBytes: res.Bytes}
 	sec := r.Elapsed.Seconds()
-	r.MBps = float64(cfg.FileBytes) / sec / MiB
+	// For request streams the paper's file-bytes-over-time metric is
+	// meaningless; both throughput columns report bytes actually moved.
 	r.AggMBps = float64(r.MovedBytes) / sec / MiB
-
+	r.MBps = r.AggMBps
 	if cfg.Verify {
-		r.VerifyErrors, r.FirstBad = verify(cfg, pat, dec, f, m)
+		r.VerifyErrors, r.FirstBad = verifyPhases(res, appBase, f, m, classic)
 	}
-
-	if collectTC != nil {
-		collectTC(r)
+	if classic {
+		r.MBps = float64(cfg.FileBytes) / sec / MiB
+	} else {
+		r.ReqLatency = cfg.Trace.RequestLatencies()
 	}
-	if collectDD != nil {
-		collectDD(r)
-	}
+	fs.collect(r)
 	mc.collectSubstrate(r)
 	return r, nil
-}
-
-// verify checks every byte that should have moved. Reads: each CP's
-// buffer must hold the image of its chunks. Writes: the file read back
-// from the disks must equal the image, block by block; the first bad
-// block is reported as the CP chunk that wrote its first bad byte.
-func verify(cfg Config, pat hpf.Pattern, dec *hpf.Decomp, f *pfs.File, m *cluster.Machine) (int, *VerifyFailure) {
-	v := verifier{blockSize: int64(cfg.BlockSize)}
-	if pat.Write {
-		data := f.ReadBack()
-		for off := 0; off < len(data); off += cfg.BlockSize {
-			v.check(data[off:off+cfg.BlockSize], int64(off), VerifyFailure{Phase: -1, Request: -1, CP: -1, Write: true})
-		}
-		if v.first != nil {
-			attributeWrite(v.first, dec, len(m.CPs))
-		}
-		return v.errs, v.first
-	}
-	for cp, node := range m.CPs {
-		for _, ch := range dec.Chunks(cp) {
-			v.check(node.Mem[ch.MemOff:ch.MemOff+ch.Len], ch.FileOff, VerifyFailure{Phase: -1, Request: -1, CP: cp})
-		}
-	}
-	return v.errs, v.first
 }
 
 // attributeWrite narrows a failed block to the CP chunk that wrote its
@@ -475,7 +406,7 @@ func TracedRun(cfg Config) (*Result, *trace.Recorder, error) {
 // the CLI and the daemon so both emit byte-identical pages for the
 // same configuration.
 func TraceTitle(cfg Config) string {
-	return fmt.Sprintf("%v %s, %s layout", cfg.Method, cfg.Pattern, cfg.Layout)
+	return fmt.Sprintf("%v %s, %s layout", cfg.Method, cfg.runName(), cfg.Layout)
 }
 
 // Trial is the aggregate of replicated runs of one configuration.

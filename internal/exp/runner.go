@@ -20,7 +20,7 @@ type CellPanicError struct {
 
 func (e *CellPanicError) Error() string {
 	return fmt.Sprintf("exp: %v/%s seed %d panicked: %v",
-		e.Config.Method, e.Config.Pattern, e.Config.Seed, e.Value)
+		e.Config.Method, e.Config.runName(), e.Config.Seed, e.Value)
 }
 
 // FaultLossError reports a run that lost requests after exhausting its
@@ -28,7 +28,7 @@ func (e *CellPanicError) Error() string {
 // any injected transient error not recovered by a retry surfaces here.
 type FaultLossError struct {
 	Method       Method
-	Pattern      string
+	Pattern      string // the run's pattern, or its workload's summary
 	Seed         int64
 	Lost         int64 // requests still failing after the retry budget
 	VerifyErrors int   // end-to-end verification failures, if verification ran
@@ -190,13 +190,13 @@ func (r *Runner) runOne(cfgs []Config, i int, results []*Result, errs []error, o
 	case panicked:
 		// keep the typed error as-is; it already names the cell
 	case err != nil:
-		err = fmt.Errorf("%v/%s seed %d: %w", cfgs[i].Method, cfgs[i].Pattern, cfgs[i].Seed, err)
+		err = fmt.Errorf("%v/%s seed %d: %w", cfgs[i].Method, cfgs[i].runName(), cfgs[i].Seed, err)
 	case res.Faults.Exhausted > 0:
-		err = &FaultLossError{Method: cfgs[i].Method, Pattern: cfgs[i].Pattern, Seed: cfgs[i].Seed,
+		err = &FaultLossError{Method: cfgs[i].Method, Pattern: cfgs[i].runName(), Seed: cfgs[i].Seed,
 			Lost: res.Faults.Exhausted, VerifyErrors: res.VerifyErrors}
 	case res.VerifyErrors > 0:
 		err = fmt.Errorf("exp: %v/%s seed %d: %d verification errors; first: %v",
-			cfgs[i].Method, cfgs[i].Pattern, cfgs[i].Seed, res.VerifyErrors, res.FirstBad)
+			cfgs[i].Method, cfgs[i].runName(), cfgs[i].Seed, res.VerifyErrors, res.FirstBad)
 	}
 	results[i], errs[i] = res, err
 	if err == nil && onDone != nil {

@@ -1,9 +1,11 @@
 package exp
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
+	"ddio/internal/fault"
 	"ddio/internal/hpf"
 	"ddio/internal/pfs"
 	"ddio/internal/workload"
@@ -40,11 +42,18 @@ func verifyFixture(t *testing.T, cfg Config) (*machine, hpf.Pattern, *hpf.Decomp
 	return mc, pat, dec
 }
 
+// verifyClassic runs the verifier over a classic run's one phase, as
+// Run does.
+func verifyClassic(cfg Config, pat hpf.Pattern, dec *hpf.Decomp, mc *machine) (int, *VerifyFailure) {
+	res := &workload.Resolved{Phases: []workload.ResolvedPhase{{Pattern: cfg.Pattern, Collective: true, Dec: dec, Write: pat.Write}}}
+	return verifyPhases(res, [][]int64{make([]int64, cfg.NCP)}, mc.f, mc.m, true)
+}
+
 func TestVerifyNamesFirstBadReadChunk(t *testing.T) {
 	cfg := smokeCfg()
 	cfg.Pattern, cfg.RecordSize = "rc", 1024
 	mc, pat, dec := verifyFixture(t, cfg)
-	if n, first := verify(cfg, pat, dec, mc.f, mc.m); n != 0 || first != nil {
+	if n, first := verifyClassic(cfg, pat, dec, mc); n != 0 || first != nil {
 		t.Fatalf("clean buffers: %d errors, first %v", n, first)
 	}
 
@@ -53,7 +62,7 @@ func TestVerifyNamesFirstBadReadChunk(t *testing.T) {
 	mem[ch.MemOff+100] ^= 0xFF
 	mem[ch.MemOff+200] ^= 0xFF                    // same chunk: still one error
 	mc.m.CPs[3].Mem[dec.Chunks(3)[0].MemOff] ^= 1 // a later CP's chunk: a second
-	n, first := verify(cfg, pat, dec, mc.f, mc.m)
+	n, first := verifyClassic(cfg, pat, dec, mc)
 	if n != 2 || first == nil {
 		t.Fatalf("got %d errors, first %v; want 2 and a failure", n, first)
 	}
@@ -69,7 +78,7 @@ func TestVerifyNamesWriterOfFirstBadBlock(t *testing.T) {
 	cfg := smokeCfg()
 	cfg.Pattern, cfg.RecordSize = "wc", 1024
 	mc, pat, dec := verifyFixture(t, cfg)
-	if n, first := verify(cfg, pat, dec, mc.f, mc.m); n != 0 || first != nil {
+	if n, first := verifyClassic(cfg, pat, dec, mc); n != 0 || first != nil {
 		t.Fatalf("clean file: %d errors, first %v", n, first)
 	}
 
@@ -78,7 +87,7 @@ func TestVerifyNamesWriterOfFirstBadBlock(t *testing.T) {
 	img := pfs.BlockImage(block, cfg.BlockSize)
 	img[at] ^= 0x5A
 	mc.f.Disks[mc.f.DiskOf(block)].WriteData(mc.f.LBN(block), img)
-	n, first := verify(cfg, pat, dec, mc.f, mc.m)
+	n, first := verifyClassic(cfg, pat, dec, mc)
 	if n != 1 || first == nil {
 		t.Fatalf("got %d errors, first %v; want 1 and a failure", n, first)
 	}
@@ -117,9 +126,12 @@ func TestVerifyFailureString(t *testing.T) {
 // Whenever a run reports verification errors it names the first bad
 // range, and the named byte really differs from the image; a clean run
 // names nothing. The mixed read/write stream exercises tcfs partial-write
-// frames, where ROADMAP defect (a) lived (it now verifies clean); the
-// overlapping read-only stream under two-phase I/O is defect (b), which
-// still fails.
+// frames, where ROADMAP defect (a) lived. The overlapping read-only
+// stream under two-phase I/O was defect (b), a nested request whose
+// runs the slot lookup dropped; it verifies clean now, so it also runs
+// with a lossy fault plan that keeps the failure path exercised. A run
+// that lost requests surfaces from the runner as a FaultLossError
+// carrying the same verification count.
 func TestRunReportsFirstBadRangeConsistently(t *testing.T) {
 	mixed, err := workload.Parse([]byte(`{"name":"p","phases":[{"pattern":"uniform","requests":64,"record_sizes":[1000],"read_fraction":0.5}]}`))
 	if err != nil {
@@ -129,20 +141,28 @@ func TestRunReportsFirstBadRangeConsistently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lossy := &fault.Plan{DiskErrorRate: 0.5, RetryLimit: 1}
 	for _, c := range []struct {
-		m   Method
-		ncp int
-		wl  *workload.Spec
-	}{{TraditionalCaching, 1, mixed}, {DiskDirected, 1, mixed}, {TwoPhase, 4, overlapping}} {
+		m      Method
+		ncp    int
+		wl     *workload.Spec
+		faults *fault.Plan
+	}{{TraditionalCaching, 1, mixed, nil}, {DiskDirected, 1, mixed, nil}, {TwoPhase, 4, overlapping, nil}, {TwoPhase, 4, overlapping, lossy}} {
 		m := c.m
 		cfg := smokeCfg()
-		cfg.Method, cfg.NCP, cfg.NIOP, cfg.NDisks, cfg.Workload = m, c.ncp, 2, 2, c.wl
+		cfg.Method, cfg.NCP, cfg.NIOP, cfg.NDisks, cfg.Workload, cfg.Faults = m, c.ncp, 2, 2, c.wl, c.faults
 		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if (res.VerifyErrors > 0) != (res.FirstBad != nil) {
 			t.Fatalf("%v: %d verification errors but first bad range %v", m, res.VerifyErrors, res.FirstBad)
+		}
+		if c.faults != nil && res.VerifyErrors == 0 {
+			t.Errorf("%v: lossy run verified clean (%d requests lost)", m, res.Faults.Exhausted)
+		}
+		if c.faults == nil && res.VerifyErrors > 0 {
+			t.Errorf("%v: %d verification errors; first: %v", m, res.VerifyErrors, res.FirstBad)
 		}
 		if fb := res.FirstBad; fb != nil {
 			t.Logf("%v: %d errors; first: %v", m, res.VerifyErrors, fb)
@@ -154,7 +174,14 @@ func TestRunReportsFirstBadRangeConsistently(t *testing.T) {
 			if !strings.Contains(fb.String(), "request ") {
 				t.Errorf("%v: workload failure does not name its request: %v", m, fb)
 			}
-			if _, err := NewRunner(1, nil).Trials(cfg, 1); err == nil || !strings.Contains(err.Error(), fb.String()) {
+			_, err := NewRunner(1, nil).Trials(cfg, 1)
+			var loss *FaultLossError
+			switch {
+			case res.Faults.Exhausted > 0:
+				if !errors.As(err, &loss) || loss.VerifyErrors != res.VerifyErrors {
+					t.Errorf("%v: runner error %v is not a FaultLossError with %d verify errors", m, err, res.VerifyErrors)
+				}
+			case err == nil || !strings.Contains(err.Error(), fb.String()):
 				t.Errorf("%v: runner error %v does not name the first bad range", m, err)
 			}
 		}
@@ -180,6 +207,47 @@ func TestWriteThenReadOfPartialBlockVerifies(t *testing.T) {
 		}
 		if res.VerifyErrors != 0 {
 			t.Errorf("%v: %d verification errors; first: %v", m, res.VerifyErrors, res.FirstBad)
+		}
+	}
+}
+
+// TestNestedRequestsVerify covers request sets in which one request's
+// file range contains another's, which the disk-directed and two-phase
+// methods find through SlotAccess.RunsInRange: the minimal pair (one CP
+// reads [0, 65536) and [8192, 16384) under DDIO on one IOP and one disk)
+// and the served-mix zipf stream of mixed record sizes (ROADMAP defect
+// (c)) under every method that uses that lookup.
+func TestNestedRequestsVerify(t *testing.T) {
+	pair, err := workload.ParseTrace([]byte("0,0,r,0,65536\n0,0,r,8192,8192\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := smokeCfg()
+	cfg.Method, cfg.NCP, cfg.NIOP, cfg.NDisks, cfg.Workload = DiskDirected, 1, 1, 1, pair
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.VerifyErrors != 0 {
+		t.Errorf("nested pair: %d verification errors; first: %v", res.VerifyErrors, res.FirstBad)
+	}
+
+	mixed, err := workload.Parse([]byte(`{"name":"mixed","phases":[{"pattern":"zipf","requests":256,"alpha":1.2,` +
+		`"record_sizes":[1000,8192,65536],"read_fraction":0.7,"arrival":"poisson","rate_per_sec":200}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Method{DiskDirected, DiskDirectedSort, TwoPhase} {
+		for _, seed := range []int64{2, 3} {
+			cfg := DefaultConfig()
+			cfg.Method, cfg.FileBytes, cfg.Seed, cfg.Workload = m, MiB, seed, mixed
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%v seed %d: %v", m, seed, err)
+			}
+			if res.VerifyErrors != 0 {
+				t.Errorf("%v seed %d: %d verification errors; first: %v", m, seed, res.VerifyErrors, res.FirstBad)
+			}
 		}
 	}
 }

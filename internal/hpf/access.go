@@ -6,6 +6,8 @@ package hpf
 // disk-directed IOP scatters or gathers per block). Decomp is the
 // matrix-decomposition implementation from the paper; the workload
 // layer provides request-stream implementations over the same contract.
+// Chunks and RunsInRange return a slice the caller owns: each call
+// builds it afresh, so the caller may modify it.
 type Access interface {
 	// Chunks returns cp's contiguous file pieces in ascending file
 	// order, with their locations in cp's memory buffer.
@@ -27,3 +29,56 @@ type Access interface {
 func (d *Decomp) Partial() bool { return false }
 
 var _ Access = (*Decomp)(nil)
+
+// Offset shifts an access's memory addressing by a per-CP base,
+// turning buffer-relative offsets into absolute CP-memory addresses (a
+// run stacks several phases' buffers, and two-phase I/O its staging
+// areas, in one CP memory). A nil access, or a nil or all-zero base,
+// returns acc unchanged.
+func Offset(acc Access, base []int64) Access {
+	all0 := true
+	for _, b := range base {
+		if b != 0 {
+			all0 = false
+			break
+		}
+	}
+	if acc == nil || all0 {
+		return acc
+	}
+	return &offsetAccess{acc: acc, base: base}
+}
+
+type offsetAccess struct {
+	acc  Access
+	base []int64
+}
+
+func (o *offsetAccess) baseOf(cp int) int64 {
+	if cp < len(o.base) {
+		return o.base[cp]
+	}
+	return 0
+}
+
+// Chunks and RunsInRange shift the slices the wrapped access returns
+// in place: the caller owns them (see Access).
+func (o *offsetAccess) Chunks(cp int) []Chunk {
+	out := o.acc.Chunks(cp)
+	b := o.baseOf(cp)
+	for i := range out {
+		out[i].MemOff += b
+	}
+	return out
+}
+
+func (o *offsetAccess) RunsInRange(off, n int64) []Run {
+	out := o.acc.RunsInRange(off, n)
+	for i := range out {
+		out[i].MemOff += o.baseOf(out[i].CP)
+	}
+	return out
+}
+
+func (o *offsetAccess) CPBytes(cp int) int64 { return o.acc.CPBytes(cp) }
+func (o *offsetAccess) Partial() bool        { return o.acc.Partial() }

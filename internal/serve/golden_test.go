@@ -148,18 +148,17 @@ func TestServedWorkloadRun(t *testing.T) {
 }
 
 // TestVerifyFailureCounter pins ddiosimd_verify_failures_total on the
-// real simulator. The run is ROADMAP defect (b), a read-only stream
-// under two-phase I/O in which one request contains another and the
-// enclosing request's buffer keeps a zero tail: it is served normally,
-// reports its verification errors, and counts once. The same workload
-// under disk-directed I/O verifies clean and does not count. Once defect
-// (b) is fixed, the two-phase run needs replacing with another
-// reproduction that still fails verification.
+// real simulator. The failing run is a read-only stream with overlapping
+// requests under two-phase I/O with a lossy fault plan: at a 50% disk
+// error rate and one retry some disk reads are lost, so the run is
+// served, reports its verification errors, and counts once. The same
+// workload under disk-directed I/O without faults verifies clean and
+// does not count.
 func TestVerifyFailureCounter(t *testing.T) {
 	s := New(Config{QueueDepth: 2, Concurrency: 1})
-	run := func(method string) RunSummary {
+	run := func(method, faults string) RunSummary {
 		t.Helper()
-		body := `{"method":"` + method + `","pattern":"ra","cps":4,"iops":2,"disks":2,"filemb":1,"seed":1,
+		body := `{"method":"` + method + `","pattern":"ra","cps":4,"iops":2,"disks":2,"filemb":1,"seed":1,` + faults + `
 			"workload":{"name":"p","phases":[{"pattern":"uniform","requests":256,"record_sizes":[1000,8192]}]}}`
 		rr := do(t, s, "POST", "/v1/runs", body)
 		if rr.Code != http.StatusOK {
@@ -179,13 +178,13 @@ func TestVerifyFailureCounter(t *testing.T) {
 		return st.VerifyFailures, do(t, s, "GET", "/metrics", "").Body.String()
 	}
 
-	if sum := run("2phase"); sum.VerifyErrors == 0 {
-		t.Fatalf("defect (b) workload verified clean under two-phase I/O: %+v", sum)
+	if sum := run("2phase", `"faults":{"disk_error_rate":0.5,"retry_limit":1},`); sum.VerifyErrors == 0 {
+		t.Fatalf("lossy two-phase run verified clean: %+v", sum)
 	}
 	if n, m := failures(); n != 1 || !strings.Contains(m, "ddiosimd_verify_failures_total 1\n") {
 		t.Fatalf("after the failing run: stats verify_failures %d, metrics:\n%s", n, m)
 	}
-	if sum := run("ddio"); sum.VerifyErrors != 0 {
+	if sum := run("ddio", ""); sum.VerifyErrors != 0 {
 		t.Fatalf("DDIO run failed verification: %+v", sum)
 	}
 	if n, m := failures(); n != 1 || !strings.Contains(m, "ddiosimd_verify_failures_total 1\n") {

@@ -22,7 +22,6 @@ type Client struct {
 
 	barrier *sim.Barrier
 	end     sim.Time
-	memBase []int64 // optional per-CP offset added to all memory addresses
 
 	// wgfree pools the per-request reply-tracking WaitGroups (one per
 	// block piece — formerly the top allocation source on message-heavy
@@ -32,19 +31,6 @@ type Client struct {
 	// reqs pools the request records themselves; each is released back
 	// here by its reply's terminal completion (see request.release).
 	reqs sim.Arena[request]
-}
-
-// SetMemBase offsets every CP's memory addresses by base[cp]; two-phase
-// I/O uses this to direct the conforming-distribution phase into a
-// staging area above the application buffer.
-func (c *Client) SetMemBase(base []int64) { c.memBase = base }
-
-// memBaseOf returns the memory base for cp.
-func (c *Client) memBaseOf(cp int) int64 {
-	if c.memBase == nil {
-		return 0
-	}
-	return c.memBase[cp]
 }
 
 // NewClient builds the client side for a transfer by all of the
@@ -101,7 +87,7 @@ type cpReq struct {
 
 // pieces splits one chunk into per-block requests (in file order): a
 // traditional file system must address each block's disk separately.
-func (c *Client) pieces(ch hpf.Chunk, base int64, out []cpReq) []cpReq {
+func (c *Client) pieces(ch hpf.Chunk, out []cpReq) []cpReq {
 	bs := int64(c.f.BlockSize)
 	for off := ch.FileOff; off < ch.FileOff+ch.Len; {
 		b := int(off / bs)
@@ -114,7 +100,7 @@ func (c *Client) pieces(ch hpf.Chunk, base int64, out []cpReq) []cpReq {
 			disk:   c.f.DiskOf(b),
 			off:    int(off - int64(b)*bs),
 			n:      int(pieceEnd - off),
-			memOff: base + ch.MemOff + (off - ch.FileOff),
+			memOff: ch.MemOff + (off - ch.FileOff),
 		})
 		off = pieceEnd
 	}
@@ -167,20 +153,19 @@ func (c *Client) issue(p *sim.Proc, cpNode *cluster.Node, pieces []cpReq, write 
 func (c *Client) TransferCP(p *sim.Proc, cp int, write bool) {
 	c.barrier.Wait(p)
 	cpNode := c.m.CPs[cp]
-	base := c.memBaseOf(cp)
 	outstanding := make([]*sim.WaitGroup, len(c.f.Disks))
 	if c.prm.StridedRequests {
 		// Extension: the whole access list goes down in one call, so
 		// requests to different disks pipeline across chunks.
 		var all []cpReq
 		for _, ch := range c.dec.Chunks(cp) {
-			all = c.pieces(ch, base, all)
+			all = c.pieces(ch, all)
 		}
 		c.issue(p, cpNode, all, write, outstanding)
 	} else {
 		var buf []cpReq
 		for _, ch := range c.dec.Chunks(cp) {
-			buf = c.pieces(ch, base, buf[:0])
+			buf = c.pieces(ch, buf[:0])
 			c.issue(p, cpNode, buf, write, outstanding)
 		}
 	}
@@ -237,7 +222,7 @@ func (c *Client) StreamCP(p *sim.Proc, cp int, reqs []StreamReq) {
 		if at := start + sim.Time(rq.At); rq.At > 0 && at > p.Now() {
 			p.SleepUntil(at)
 		}
-		buf = c.pieces(hpf.Chunk{FileOff: rq.FileOff, MemOff: rq.MemOff, Len: rq.Len}, 0, buf[:0])
+		buf = c.pieces(hpf.Chunk{FileOff: rq.FileOff, MemOff: rq.MemOff, Len: rq.Len}, buf[:0])
 		c.issue(p, cpNode, buf, rq.Write, outstanding)
 	}
 	c.barrier.Wait(p)

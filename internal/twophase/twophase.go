@@ -59,15 +59,12 @@ type Client struct {
 	barrier *sim.Barrier
 	perm    *sim.WaitGroup // permutation messages in flight
 	end     sim.Time
-	// absolute marks an access-built client (NewAccessClient): both
-	// distributions carry absolute memory offsets, so no per-CP base is
-	// added on either side.
-	absolute bool
 }
 
-// NewClient builds the two-phase client. servers are the traditional
-// caching IOPs that perform the conforming I/O phase. The staging area
-// for cp lives at stagingBase[cp] in its memory.
+// NewClient builds the two-phase client for a whole-file transfer of
+// target. servers are the traditional caching IOPs that perform the
+// conforming I/O phase. The staging area for cp lives just above its
+// application buffer, at StagingBase(cp).
 func NewClient(m *cluster.Machine, f *pfs.File, target *hpf.Decomp,
 	servers []*tcfs.Server, tcPrm tcfs.Params, prm Params) (*Client, error) {
 	records := int(f.Size() / int64(target.RecordSize))
@@ -75,7 +72,20 @@ func NewClient(m *cluster.Machine, f *pfs.File, target *hpf.Decomp,
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{
+	base := make([]int64, len(m.CPs))
+	for cp := range base {
+		base[cp] = target.CPBytes(cp)
+	}
+	return NewAccessClient(m, f, target, hpf.Offset(conf, base), servers, tcPrm, prm), nil
+}
+
+// NewAccessClient builds a two-phase client over arbitrary access
+// patterns: target is the application's pattern, conf a conforming
+// pattern covering the same file ranges. Both carry absolute memory
+// offsets (see hpf.Offset): the caller places the staging area.
+func NewAccessClient(m *cluster.Machine, f *pfs.File, target, conf hpf.Access,
+	servers []*tcfs.Server, tcPrm tcfs.Params, prm Params) *Client {
+	return &Client{
 		m:       m,
 		f:       f,
 		target:  target,
@@ -83,35 +93,8 @@ func NewClient(m *cluster.Machine, f *pfs.File, target *hpf.Decomp,
 		prm:     prm,
 		barrier: sim.NewBarrier(m.Eng, "2ph", len(m.CPs)),
 		perm:    sim.NewWaitGroup(m.Eng, "2ph-perm", 0),
+		tc:      tcfs.NewClient(m, f, conf, servers, tcPrm),
 	}
-	c.tc = tcfs.NewClient(m, f, conf, servers, tcPrm)
-	base := make([]int64, len(m.CPs))
-	for cp := range base {
-		base[cp] = c.StagingBase(cp)
-	}
-	c.tc.SetMemBase(base)
-	return c, nil
-}
-
-// NewAccessClient builds a two-phase client over arbitrary access
-// patterns (the workload layer's request streams): target is the
-// application's pattern, conf a conforming pattern covering the same
-// file ranges. Both must carry absolute memory offsets — the staging
-// layout is the caller's, so no per-CP base is applied.
-func NewAccessClient(m *cluster.Machine, f *pfs.File, target, conf hpf.Access,
-	servers []*tcfs.Server, tcPrm tcfs.Params, prm Params) *Client {
-	c := &Client{
-		m:        m,
-		f:        f,
-		target:   target,
-		conf:     conf,
-		prm:      prm,
-		barrier:  sim.NewBarrier(m.Eng, "2ph", len(m.CPs)),
-		perm:     sim.NewWaitGroup(m.Eng, "2ph-perm", 0),
-		absolute: true,
-	}
-	c.tc = tcfs.NewClient(m, f, conf, servers, tcPrm)
-	return c
 }
 
 // StagingBase returns the offset of cp's conforming staging area within
@@ -156,13 +139,11 @@ func (c *Client) TransferCP(p *sim.Proc, cp int, write bool) {
 func (c *Client) permute(p *sim.Proc, cp int, from, to hpf.Access) {
 	c.barrier.Wait(p)
 	cpNode := c.m.CPs[cp]
-	fromBase := c.baseFor(cp, from)
-	// Destination base depends on the *destination* CP's role of 'to'.
 	perDest := make(map[int][]cluster.MemSeg)
 	for _, ch := range from.Chunks(cp) {
 		for _, run := range to.RunsInRange(ch.FileOff, ch.Len) {
-			src := fromBase + ch.MemOff + (run.FileOff - ch.FileOff)
-			dstOff := c.baseFor(run.CP, to) + run.MemOff
+			src := ch.MemOff + (run.FileOff - ch.FileOff)
+			dstOff := run.MemOff
 			data := cpNode.Mem[src : src+run.Len]
 			if run.CP == cp {
 				_, end := cpNode.CPU.ReserveFor(c.prm.CopyPerByte * time.Duration(run.Len))
@@ -190,17 +171,6 @@ func (c *Client) permute(p *sim.Proc, cp int, from, to hpf.Access) {
 		c.perm.Wait(p)
 	}
 	c.barrier.Wait(p)
-}
-
-// baseFor returns where distribution d's buffer starts in cp's memory:
-// the application distribution sits at 0, the conforming one at the
-// staging base — unless the client was built over absolute-offset access
-// patterns, where both already address memory directly.
-func (c *Client) baseFor(cp int, d hpf.Access) int64 {
-	if !c.absolute && d == c.conf {
-		return c.StagingBase(cp)
-	}
-	return 0
 }
 
 // String describes the client (diagnostic).

@@ -22,14 +22,18 @@ type Slot struct {
 // the three file-system methods consume for workload phases, exactly as
 // they consume an hpf.Decomp for matrix phases.
 type SlotAccess struct {
-	perCP   [][]Slot // slots by CP, each sorted by (FileOff, MemOff)
-	cpBytes []int64  // memory footprint per CP
+	perCP [][]Slot // slots by CP, each sorted by (FileOff, MemOff)
+	// maxEnd[cp][i] is the largest file end among perCP[cp][:i+1]. Unlike
+	// a slot's own end it never falls when a slot nests inside an earlier
+	// one, so RunsInRange can binary-search it.
+	maxEnd  [][]int64
+	cpBytes []int64 // memory footprint per CP
 }
 
 // NewSlotAccess builds the access for a slot set over ncp CPs. Slots
 // are sorted per CP by (FileOff, MemOff); input order does not matter.
 func NewSlotAccess(slots []Slot, ncp int) *SlotAccess {
-	a := &SlotAccess{perCP: make([][]Slot, ncp), cpBytes: make([]int64, ncp)}
+	a := &SlotAccess{perCP: make([][]Slot, ncp), maxEnd: make([][]int64, ncp), cpBytes: make([]int64, ncp)}
 	for _, s := range slots {
 		a.perCP[s.CP] = append(a.perCP[s.CP], s)
 		if end := s.MemOff + s.Len; end > a.cpBytes[s.CP] {
@@ -44,6 +48,12 @@ func NewSlotAccess(slots []Slot, ncp int) *SlotAccess {
 			}
 			return si.MemOff < sj.MemOff
 		})
+		a.maxEnd[cp] = make([]int64, len(a.perCP[cp]))
+		var hi int64
+		for i, s := range a.perCP[cp] {
+			hi = max(hi, s.FileOff+s.Len)
+			a.maxEnd[cp][i] = hi
+		}
 	}
 	return a
 }
@@ -89,10 +99,10 @@ func (a *SlotAccess) RunsInRange(off, n int64) []hpf.Run {
 	end := off + n
 	var out []hpf.Run
 	for cp, slots := range a.perCP {
-		// Slots are sorted by FileOff; find the first that can overlap.
-		i := sort.Search(len(slots), func(i int) bool {
-			return slots[i].FileOff+slots[i].Len > off
-		})
+		// Slots are sorted by FileOff; every slot before the first whose
+		// running maximum end passes off ends at or before off.
+		ends := a.maxEnd[cp]
+		i := sort.Search(len(slots), func(i int) bool { return ends[i] > off })
 		for ; i < len(slots) && slots[i].FileOff < end; i++ {
 			s := slots[i]
 			lo, hi := s.FileOff, s.FileOff+s.Len
@@ -138,66 +148,6 @@ func (a *SlotAccess) CPBytes(cp int) int64 {
 func (a *SlotAccess) Partial() bool { return true }
 
 var _ hpf.Access = (*SlotAccess)(nil)
-
-// Offset shifts an access's memory addressing by a per-CP base,
-// turning buffer-relative offsets into absolute CP-memory addresses
-// (the experiment layer stacks multiple phases, and a staging area, in
-// one CP memory). A nil or all-zero base returns acc unchanged.
-func Offset(acc hpf.Access, base []int64) hpf.Access {
-	all0 := true
-	for _, b := range base {
-		if b != 0 {
-			all0 = false
-			break
-		}
-	}
-	if acc == nil || all0 {
-		return acc
-	}
-	return &offsetAccess{acc: acc, base: base}
-}
-
-type offsetAccess struct {
-	acc  hpf.Access
-	base []int64
-}
-
-func (o *offsetAccess) baseOf(cp int) int64 {
-	if cp < len(o.base) {
-		return o.base[cp]
-	}
-	return 0
-}
-
-func (o *offsetAccess) Chunks(cp int) []hpf.Chunk {
-	src := o.acc.Chunks(cp)
-	if len(src) == 0 {
-		return src
-	}
-	b := o.baseOf(cp)
-	out := make([]hpf.Chunk, len(src))
-	for i, c := range src {
-		c.MemOff += b
-		out[i] = c
-	}
-	return out
-}
-
-func (o *offsetAccess) RunsInRange(off, n int64) []hpf.Run {
-	src := o.acc.RunsInRange(off, n)
-	if len(src) == 0 {
-		return src
-	}
-	out := make([]hpf.Run, len(src))
-	for i, r := range src {
-		r.MemOff += o.baseOf(r.CP)
-		out[i] = r
-	}
-	return out
-}
-
-func (o *offsetAccess) CPBytes(cp int) int64 { return o.acc.CPBytes(cp) }
-func (o *offsetAccess) Partial() bool        { return o.acc.Partial() }
 
 // Conforming builds the conforming distribution of an access for
 // two-phase I/O: the union of the file ranges the access touches,
